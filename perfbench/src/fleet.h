@@ -14,8 +14,10 @@
 
 namespace perfbench {
 
-/// Compute threads per fleet worker (USB_THREADS); 2 workers x 2 threads.
-inline constexpr int kFleetThreadsPerWorker = 2;
+/// USB_THREADS of each fleet worker. A worker's two round dispatchers each
+/// run a class job of its one scan in flight, so with a one-thread pool a
+/// worker computes on at most two threads and the 2-worker fleet on four.
+inline constexpr int kFleetThreadsPerWorker = 1;
 
 struct FleetArgs {
   std::uint64_t seed = 1;

@@ -4,12 +4,10 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
 #include <stdexcept>
-#include <thread>
 
 #include "attacks/badnet.h"
 #include "data/synthetic.h"
@@ -37,7 +35,7 @@ std::string checkpoint_path(const std::string& cache_dir, const std::string& lab
 
 /// Runs `argv` (argv[0] a path) with USB_THREADS set to `threads`, waits for
 /// it, and throws when it does not exit 0. Setup trains in such a child so
-/// that training uses every core while the measuring process keeps the
+/// that training runs at its own width while the measuring process keeps the
 /// workload's own pinned width.
 void run_child(const std::vector<std::string>& argv, int threads) {
   std::vector<std::string> env_strings;
@@ -87,7 +85,7 @@ PopulationSpec population_for(const std::string& workload) {
     spec.arch = usb::Architecture::kMiniResNet;
     spec.trigger_size = 5;
     spec.poison_rate = 0.15;
-    spec.train_size = 1200;
+    spec.train_size = 600;
     spec.epochs = 4;
   } else if (workload == "fleet-mixed-open") {
     spec.dataset = usb::DatasetSpec::mnist_like();
@@ -104,8 +102,7 @@ PopulationSpec population_for(const std::string& workload) {
 
 std::vector<Member> train_in_child(const std::string& workload, const std::string& cache_dir) {
   const std::string self = std::filesystem::read_symlink("/proc/self/exe").string();
-  const int threads = std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
-  run_child({self, "--workload", workload, "--train-into", cache_dir}, threads);
+  run_child({self, "--workload", workload, "--train-into", cache_dir}, kTrainThreads);
   return load_population(population_for(workload), cache_dir);
 }
 

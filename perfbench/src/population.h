@@ -52,9 +52,14 @@ struct Member {
 /// on an unknown name.
 [[nodiscard]] PopulationSpec population_for(const std::string& workload);
 
+/// Compute threads of the setup child. Fixed, because the trained weights
+/// depend on it; one, because training gains little from more here and a
+/// parallel loop stalls on whichever core the host slows.
+inline constexpr int kTrainThreads = 1;
+
 /// Setup: trains the workload's population into `cache_dir` in a child
-/// process running this executable with `--train-into`, at the machine's
-/// full width, then loads it here.
+/// process running this executable with `--train-into` on kTrainThreads
+/// threads, then loads it here.
 [[nodiscard]] std::vector<Member> train_in_child(const std::string& workload,
                                                  const std::string& cache_dir);
 
