@@ -161,6 +161,29 @@ BenchResult bench_conv_backward(const std::string& name, const Conv2dSpec& spec,
                        2.0 * conv_flops(spec, batch, image), /*is_flops=*/true);
 }
 
+/// The frozen-model input gradient alone (need_dweight off): the fused dx
+/// kernel detection runs on every conv layer of every refinement step.
+BenchResult bench_conv_input_grad(const std::string& name, const Conv2dSpec& spec,
+                                  std::int64_t batch, std::int64_t image, std::uint64_t seed) {
+  const Tensor x = random_tensor(Shape{batch, spec.in_channels, image, image}, seed);
+  const Tensor w = random_tensor(spec.weight_shape(), seed + 1, -0.2F, 0.2F);
+  const std::int64_t out = spec.out_size(image);
+  const Tensor dy =
+      random_tensor(Shape{batch, spec.out_channels, out, out}, seed + 2, -1.0F, 1.0F);
+  Tensor dx;
+  char geometry[64];
+  std::snprintf(geometry, sizeof(geometry), "_o%lldk%llds%lld",
+                static_cast<long long>(spec.out_channels), static_cast<long long>(spec.kernel),
+                static_cast<long long>(spec.stride));
+  return run_benchmark(name, conv_shape_label(spec, batch, image) + geometry,
+                       [&] {
+                         conv2d_backward_into(x, w, dy, spec, /*need_dx=*/true,
+                                              /*need_dweight=*/false, &dx, nullptr, nullptr);
+                         do_not_optimize(dx.raw());
+                       },
+                       conv_flops(spec, batch, image), /*is_flops=*/true);
+}
+
 // ---- Elementwise kernel suite -------------------------------------------
 //
 // Each entry runs the dispatched kernel (AVX2 where the CPU has it) and the
@@ -404,6 +427,29 @@ int main(int argc, char** argv) {
       bench_conv_forward("conv_resnet_stem", make_spec(3, 8, 3, 1, 1), 32, 32, 120));
   results.push_back(
       bench_conv_forward("conv_vgg_stack2", make_spec(8, 16, 3, 1, 1), 32, 16, 130));
+  // The narrow maps of the benchmarked networks at the refinement batch:
+  // MiniResNet's 16x16 and 8x8 stages, BasicCnn's 8x8 conv2 (MNIST-like).
+  results.push_back(
+      bench_conv_forward("conv_resnet_16x16", make_spec(16, 16, 3, 1, 1), 8, 16, 140));
+  results.push_back(
+      bench_conv_forward("conv_resnet_8x8", make_spec(32, 32, 3, 1, 1), 8, 8, 150));
+  results.push_back(
+      bench_conv_forward("conv_basiccnn_8x8", make_spec(16, 32, 5, 1, 0), 8, 12, 160));
+
+  // Frozen dx-only input gradients, one row per MiniResNet conv shape plus
+  // BasicCnn's conv2.
+  results.push_back(
+      bench_conv_input_grad("conv2d_input_grad", make_spec(8, 8, 3, 1, 1), 8, 32, 170));
+  results.push_back(
+      bench_conv_input_grad("conv2d_input_grad", make_spec(8, 16, 3, 2, 1), 8, 32, 180));
+  results.push_back(
+      bench_conv_input_grad("conv2d_input_grad", make_spec(16, 16, 3, 1, 1), 8, 16, 190));
+  results.push_back(
+      bench_conv_input_grad("conv2d_input_grad", make_spec(16, 32, 3, 2, 1), 8, 16, 200));
+  results.push_back(
+      bench_conv_input_grad("conv2d_input_grad", make_spec(32, 32, 3, 1, 1), 8, 8, 210));
+  results.push_back(
+      bench_conv_input_grad("conv2d_input_grad", make_spec(16, 32, 5, 1, 0), 8, 12, 220));
 
   for (BenchResult& r : bench_elementwise_suite()) results.push_back(std::move(r));
   results.push_back(bench_refine_step_alloc_pressure());

@@ -1,6 +1,7 @@
 // Shared SIMD scaffolding for the runtime-dispatched kernel TUs
-// (tensor/gemm.cpp and tensor/elementwise.cpp). INTERNAL header — include
-// only from kernel .cpp files; it defines unprefixed-looking macros.
+// (tensor/gemm.cpp, tensor/elementwise.cpp and tensor/tensor_ops.cpp).
+// INTERNAL header — include only from kernel .cpp files; it defines
+// unprefixed-looking macros.
 //
 // The attributes are correctness-critical and must stay identical across
 // every kernel TU:
@@ -22,6 +23,8 @@ namespace usb::simd {
 // signed-integer twin.
 using v8sf = float __attribute__((vector_size(32), aligned(4), may_alias));
 using v8si = std::int32_t __attribute__((vector_size(32), aligned(4), may_alias));
+// 4-double lane vector for the double-accumulated filters.
+using v4df = double __attribute__((vector_size(32), aligned(8), may_alias));
 
 /// True when the running CPU can execute the target("avx2") kernel
 /// variants compiled into this binary.
@@ -43,3 +46,15 @@ inline bool cpu_has_avx2() noexcept {
                        (((::usb::simd::v8si)(b)) & ~(mask))))
 #define USB_SIMD_BCAST(s) \
   ::usb::simd::v8sf { (s), (s), (s), (s), (s), (s), (s), (s) }
+#define USB_SIMD_LOAD_PD(ptr) (*reinterpret_cast<const ::usb::simd::v4df*>(ptr))
+#define USB_SIMD_STORE_PD(ptr, value) (*reinterpret_cast<::usb::simd::v4df*>(ptr) = (value))
+#define USB_SIMD_BCAST_PD(s) \
+  ::usb::simd::v4df { (s), (s), (s), (s) }
+
+// One kernel body, two instantiations: write the body once as a
+// USB_SIMD_INLINE function (template), then wrap it in a plain function and
+// in a USB_SIMD_AVX2 one. Forced inlining compiles the body with the
+// wrapper's target, so the same source runs 128-bit on the baseline ISA and
+// 256-bit under AVX2, with the identical per-lane operation sequence.
+#define USB_SIMD_INLINE __attribute__((always_inline)) inline
+#define USB_SIMD_AVX2 __attribute__((target("avx2")))

@@ -1,4 +1,4 @@
-// Dense kernels: matmul family, im2col convolution (with groups), pooling,
+// Dense kernels: matmul family, direct convolution (with groups), pooling,
 // softmax, one-hot, and the 2-D filtering primitives used by SSIM.
 //
 // Layout conventions:
@@ -6,6 +6,23 @@
 //  - Convolution weights are (OC, IC/groups, KH, KW); bias is (OC).
 //  - All backward kernels compute exact gradients of their forward
 //    counterparts (validated against central finite differences in tests).
+//
+// Accumulation-order contracts. The conv forward, the conv input gradient
+// and both SSIM filters are SIMD kernels whose lanes hold DIFFERENT output
+// elements; no reduction is ever split across lanes. Each output element
+// is therefore computed by the scalar operation sequence stated at its
+// function below, on every variant (portable and AVX2, pinned together by
+// ew::force_variant) and for any USB_THREADS (the kernels run in parallel
+// over samples or planes, never inside one output). tests/test_tensor_ops
+// and tests/test_ssim spell each sequence out as a reference and compare
+// bit for bit.
+//
+// Why the zero padding these kernels read is exact: every accumulator
+// starts at +0, and under round-to-nearest a sum is -0 only when both
+// addends are -0, so an accumulator can never become -0. Adding a product
+// with a zero factor (+0 or -0, for a finite other factor) therefore
+// leaves it bit-for-bit unchanged. A padded tap is an exact no-op, and a
+// tap whose products are all such zeros can be skipped outright.
 #pragma once
 
 #include <cstddef>
@@ -66,6 +83,13 @@ struct Conv2dSpec {
 
 /// y (N,OC,OH,OW) = conv(x (N,IC,H,W), weight, bias). `bias` may be empty
 /// (numel 0) to skip the bias add.
+///
+/// Order (the blocked GEMM's, gemm.h): each output sums w * x over
+/// p = (ic, kh, kw) of its group in ascending order, one float accumulator
+/// from +0 per 256-wide block of p (the GEMM's KC), blocks added in order,
+/// then + bias. Taps in the zero padding multiply an explicit 0.0F, exactly
+/// as im2col's zero columns did. Computed directly from a zero-padded,
+/// stride-phase-split copy of each sample: no column buffer, no scatter.
 [[nodiscard]] Tensor conv2d_forward(const Tensor& x, const Tensor& weight, const Tensor& bias,
                                     const Conv2dSpec& spec);
 void conv2d_forward_into(const Tensor& x, const Tensor& weight, const Tensor& bias,
@@ -78,9 +102,19 @@ struct Conv2dGrads {
 };
 
 /// Exact gradients of conv2d_forward. Skipping dx (need_dx=false) saves the
-/// col2im pass for the first layer of a network; skipping dweight
+/// input-gradient kernel for the first layer of a network; skipping dweight
 /// (need_dweight=false) halves the cost when only input gradients matter
 /// (frozen-model detection).
+///
+/// dx order (the historical dcol GEMM + col2im): each dx element starts at
+/// +0 and adds, for its taps (kh, kw) in ascending order, that tap's dot
+/// product: w[oc][ic][kh][kw] * dy[oc][oh][ow] summed over the group's oc
+/// ascending, from +0 in 256-wide blocks of oc, blocks added in order. A
+/// tap whose (oh, ow) falls outside dy is never added. One fused kernel
+/// over a zero-padded copy of each sample's dy serves detection and
+/// training: no dcol buffer, no col2im pass. The padded taps are exact
+/// no-ops for finite weights (see the contract above). dW and db keep
+/// im2col + GEMM.
 [[nodiscard]] Conv2dGrads conv2d_backward(const Tensor& x, const Tensor& weight, const Tensor& dy,
                                           const Conv2dSpec& spec, bool need_dx = true,
                                           bool need_dweight = true);
@@ -93,37 +127,29 @@ void conv2d_backward_into(const Tensor& x, const Tensor& weight, const Tensor& d
                           const Conv2dSpec& spec, bool need_dx, bool need_dweight, Tensor* dx,
                           Tensor* dweight, Tensor* dbias);
 
-/// Unfolds x (C,H,W view of one sample) into columns (C*K*K, OH*OW).
-/// Exposed for tests.
+/// Unfolds x (C,H,W view of one sample) into columns (C*K*K, OH*OW). The
+/// dW half of conv2d_backward runs on it.
 void im2col(const float* x, std::int64_t channels, std::int64_t height, std::int64_t width,
             std::int64_t kernel, std::int64_t stride, std::int64_t padding, float* col);
 
 /// Transpose of im2col: accumulates columns back into the (C,H,W) image.
+/// No conv kernel uses it; kept as the public adjoint of im2col.
 void col2im(const float* col, std::int64_t channels, std::int64_t height, std::int64_t width,
             std::int64_t kernel, std::int64_t stride, std::int64_t padding, float* x);
 
-/// Thread-local convolution scratch: the im2col column block, its gradient
-/// counterpart, and the batched-GEMM staging buffer. Buffers grow on demand
-/// and are NEVER shrunk or freed before thread exit, so the steady-state
-/// conv2d_forward/conv2d_backward hot path (N-sample probe batches flowing
-/// through the same geometry over and over) performs zero heap allocations.
+/// Thread-local im2col column buffer of the training-only dW pass. It grows
+/// on demand and is NEVER shrunk or freed before thread exit, so repeated
+/// backward passes over the same geometry perform no heap allocations.
 class Im2colWorkspace {
  public:
   /// The calling thread's workspace (one per pool worker / caller thread).
   [[nodiscard]] static Im2colWorkspace& local();
 
   [[nodiscard]] float* col(std::size_t count) { return col_.ensure(count); }
-  [[nodiscard]] float* dcol(std::size_t count) { return dcol_.ensure(count); }
-  [[nodiscard]] float* gemm_out(std::size_t count) { return gemm_out_.ensure(count); }
-
   [[nodiscard]] std::size_t col_capacity() const noexcept { return col_.capacity(); }
-  [[nodiscard]] std::size_t dcol_capacity() const noexcept { return dcol_.capacity(); }
-  [[nodiscard]] std::size_t gemm_out_capacity() const noexcept { return gemm_out_.capacity(); }
 
  private:
   AlignedBuffer col_;
-  AlignedBuffer dcol_;
-  AlignedBuffer gemm_out_;
 };
 
 // --------------------------------------------------------------- pooling --
@@ -185,12 +211,23 @@ void gaussian_kernel_into(std::int64_t size, double sigma, Tensor& kernel);
 /// Per-channel valid cross-correlation of x (N,C,H,W) with kernel (K,K):
 /// output (N,C,H-K+1,W-K+1). This is the "local statistics" operator of
 /// SSIM.
+///
+/// Order: each output accumulates double(x) * double(k) over the taps
+/// (a, b) in ascending order, in one double from +0, rounded to float once.
+/// Lanes are output columns (4 doubles per AVX2 vector).
 [[nodiscard]] Tensor filter2d_valid(const Tensor& x, const Tensor& kernel);
 void filter2d_valid_into(const Tensor& x, const Tensor& kernel, Tensor& y);
 
 /// Per-channel full cross-correlation with the flipped kernel: the exact
 /// adjoint (transpose) of filter2d_valid, mapping gradients on the valid
-/// output back to the input grid. Output (N,C,h+K-1,w+K-1).
+/// output back to the input grid. Output (N,C,h+K-1,w+K-1). The kernel
+/// must be square and rank 2.
+///
+/// Order: output (p, q) accumulates double(g(p-a, q-b)) * double(k(a, b))
+/// over the taps (a, b) that land inside g, in ascending order, in one
+/// double from +0. Runs as the flipped valid filter over g zero-padded by
+/// K-1 on every side; the padded taps are exact no-ops for a finite kernel
+/// (see the contract at the top of this file).
 [[nodiscard]] Tensor filter2d_full_adjoint(const Tensor& g, const Tensor& kernel);
 void filter2d_full_adjoint_into(const Tensor& g, const Tensor& kernel, Tensor& dx);
 

@@ -6,8 +6,8 @@
 //  - parallel_for_deterministic semantics: full coverage, nested calls from
 //    saturated pools and 1-worker pools complete (no deadlock), exceptions
 //    propagate and do not poison the pool;
-//  - Im2colWorkspace grow-never-shrink behaviour and the blocked batched
-//    conv2d_forward against a direct-convolution reference.
+//  - Im2colWorkspace grow-never-shrink behaviour and conv2d_forward on a
+//    large multi-sample map against a direct-convolution reference.
 #include <cstring>
 #include <stdexcept>
 #include <vector>
@@ -287,12 +287,12 @@ TEST(Im2colWorkspace, GrowsAndNeverShrinks) {
   EXPECT_GE(ws.col_capacity(), 2 * grown);
 }
 
-// ------------------------------------------------- blocked batched conv --
+// ------------------------------------------------------ large-map conv --
 
-TEST(ConvBatchedGemm, BlockSplitBatchMatchesDirectConvolution) {
-  // Geometry chosen so the batched im2col workspace cap (16 MiB) splits the
-  // batch into more than one sample block: col floats per sample =
-  // 16*5*5*64*64 = 1.6M, so only 2 of the 4 samples fit per block.
+TEST(ConvLargeMap, MultiSampleMatchesDirectConvolution) {
+  // A 64x64 map with K = 16*5*5 = 400 (two 256-wide product blocks) over
+  // several samples: the padded per-sample copies and the lane tiles of a
+  // wide map must reproduce a direct convolution.
   Conv2dSpec spec;
   spec.in_channels = 16;
   spec.out_channels = 4;

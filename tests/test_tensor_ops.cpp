@@ -1,10 +1,15 @@
 // Tests for the dense kernels: matmul family, im2col/col2im adjointness,
-// conv2d forward/backward against naive references and finite differences,
-// pooling, softmax, and the SSIM filter primitives.
+// conv2d forward/backward against naive references, finite differences and
+// bitwise accumulation-order references, pooling, softmax, and the SSIM
+// filter primitives.
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "bitwise.h"
 #include "gradcheck.h"
 #include "tensor/tensor_ops.h"
 #include "utils/rng.h"
@@ -12,8 +17,11 @@
 namespace usb {
 namespace {
 
+using testing::available_variants;
+using testing::expect_bitwise_equal;
 using testing::expect_gradient_close;
 using testing::fill_uniform;
+using testing::VariantGuard;
 
 Tensor naive_matmul(const Tensor& a, const Tensor& b) {
   const std::int64_t m = a.dim(0);
@@ -191,14 +199,158 @@ Conv2dSpec make_spec(std::int64_t in, std::int64_t out, std::int64_t k, std::int
   return spec;
 }
 
+// ---- Bitwise accumulation-order references ------------------------------
+//
+// These spell out, per output element, the exact float operation sequence
+// the conv kernels promise (tensor_ops.h): the forward sums its products in
+// ascending p = (ic, kh, kw) from +0 in 256-wide blocks of p, adds the
+// blocks in order, then the bias; the input gradient sums, per tap (kh, kw)
+// in ascending order, that tap's oc-ascending products (again from +0 in
+// 256-wide blocks of oc) into an accumulator that starts at +0. Taps that
+// fall outside the input are never added.
+
+constexpr std::int64_t kOrderBlock = 256;
+
+Tensor order_reference_conv(const Tensor& x, const Tensor& w, const Tensor& bias,
+                            const Conv2dSpec& spec) {
+  const std::int64_t h = x.dim(2);
+  const std::int64_t wd = x.dim(3);
+  const std::int64_t k = spec.kernel;
+  const std::int64_t group_in = spec.in_channels / spec.groups;
+  const std::int64_t group_out = spec.out_channels / spec.groups;
+  const std::int64_t patch = group_in * k * k;
+  Tensor y(Shape{x.dim(0), spec.out_channels, spec.out_size(h), spec.out_size(wd)});
+  for (std::int64_t n = 0; n < x.dim(0); ++n) {
+    for (std::int64_t oc = 0; oc < spec.out_channels; ++oc) {
+      const std::int64_t g = oc / group_out;
+      for (std::int64_t oh = 0; oh < y.dim(2); ++oh) {
+        for (std::int64_t ow = 0; ow < y.dim(3); ++ow) {
+          float total = 0.0F;
+          for (std::int64_t p0 = 0; p0 < patch; p0 += kOrderBlock) {
+            float block = 0.0F;
+            for (std::int64_t p = p0; p < std::min(patch, p0 + kOrderBlock); ++p) {
+              const std::int64_t ic = p / (k * k);
+              const std::int64_t ih = oh * spec.stride - spec.padding + (p / k) % k;
+              const std::int64_t iw = ow * spec.stride - spec.padding + p % k;
+              const bool inside = ih >= 0 && ih < h && iw >= 0 && iw < wd;
+              const float value = inside ? x.at4(n, g * group_in + ic, ih, iw) : 0.0F;
+              block += w[oc * patch + p] * value;
+            }
+            total = p0 == 0 ? block : total + block;
+          }
+          y.at4(n, oc, oh, ow) = bias.numel() > 0 ? total + bias[oc] : total;
+        }
+      }
+    }
+  }
+  return y;
+}
+
+Tensor order_reference_conv_dx(const Tensor& x, const Tensor& w, const Tensor& dy,
+                               const Conv2dSpec& spec) {
+  const std::int64_t k = spec.kernel;
+  const std::int64_t s = spec.stride;
+  const std::int64_t group_in = spec.in_channels / spec.groups;
+  const std::int64_t group_out = spec.out_channels / spec.groups;
+  Tensor dx(x.shape());
+  for (std::int64_t n = 0; n < x.dim(0); ++n) {
+    for (std::int64_t ic = 0; ic < spec.in_channels; ++ic) {
+      const std::int64_t g = ic / group_in;
+      for (std::int64_t ih = 0; ih < x.dim(2); ++ih) {
+        for (std::int64_t iw = 0; iw < x.dim(3); ++iw) {
+          float acc = 0.0F;
+          for (std::int64_t kh = 0; kh < k; ++kh) {
+            for (std::int64_t kw = 0; kw < k; ++kw) {
+              const std::int64_t rh = ih + spec.padding - kh;
+              const std::int64_t rw = iw + spec.padding - kw;
+              if (rh < 0 || rw < 0 || rh % s != 0 || rw % s != 0) continue;
+              const std::int64_t oh = rh / s;
+              const std::int64_t ow = rw / s;
+              if (oh >= dy.dim(2) || ow >= dy.dim(3)) continue;
+              float tap = 0.0F;
+              for (std::int64_t o0 = 0; o0 < group_out; o0 += kOrderBlock) {
+                float block = 0.0F;
+                for (std::int64_t o = o0; o < std::min(group_out, o0 + kOrderBlock); ++o) {
+                  const std::int64_t oc = g * group_out + o;
+                  block += w[((oc * group_in + ic % group_in) * k + kh) * k + kw] *
+                           dy.at4(n, oc, oh, ow);
+                }
+                tap = o0 == 0 ? block : tap + block;
+              }
+              acc += tap;
+            }
+          }
+          dx.at4(n, ic, ih, iw) = acc;
+        }
+      }
+    }
+  }
+  return dx;
+}
+
+TEST_P(ConvParamTest, ForwardAndInputGradBitwiseMatchOrderReference) {
+  const ConvCase tc = GetParam();
+  Rng rng(17);
+  Tensor x(Shape{tc.batch, tc.spec.in_channels, tc.image, tc.image});
+  Tensor w(tc.spec.weight_shape());
+  Tensor b(Shape{tc.spec.out_channels});
+  fill_uniform(x, rng);
+  fill_uniform(w, rng, -0.5F, 0.5F);
+  fill_uniform(b, rng, -0.2F, 0.2F);
+  const Tensor no_bias(Shape{0});
+  Tensor dy(Shape{tc.batch, tc.spec.out_channels, tc.spec.out_size(tc.image),
+                  tc.spec.out_size(tc.image)});
+  fill_uniform(dy, rng);
+
+  const Tensor want_y = order_reference_conv(x, w, b, tc.spec);
+  const Tensor want_y_no_bias = order_reference_conv(x, w, no_bias, tc.spec);
+  const Tensor want_dx = order_reference_conv_dx(x, w, dy, tc.spec);
+
+  const VariantGuard guard;
+  std::vector<Tensor> forwards;
+  std::vector<Tensor> input_grads;
+  for (const ew::Variant variant : available_variants()) {
+    ew::force_variant(variant);
+    forwards.push_back(conv2d_forward(x, w, b, tc.spec));
+    expect_bitwise_equal(forwards.back(), want_y, "forward");
+    expect_bitwise_equal(conv2d_forward(x, w, no_bias, tc.spec), want_y_no_bias,
+                         "forward without bias");
+    // The frozen-model path (dx only) and the training path (dx + dW)
+    // share one input-gradient kernel.
+    Tensor dx;
+    conv2d_backward_into(x, w, dy, tc.spec, /*need_dx=*/true, /*need_dweight=*/false, &dx,
+                         nullptr, nullptr);
+    expect_bitwise_equal(dx, want_dx, "input gradient (dx only)");
+    const Conv2dGrads grads = conv2d_backward(x, w, dy, tc.spec);
+    expect_bitwise_equal(grads.dx, want_dx, "input gradient (with dW)");
+    input_grads.push_back(std::move(dx));
+  }
+  for (std::size_t v = 1; v < forwards.size(); ++v) {
+    expect_bitwise_equal(forwards[v], forwards[0], "forward, AVX2 vs portable");
+    expect_bitwise_equal(input_grads[v], input_grads[0], "input gradient, AVX2 vs portable");
+  }
+}
+
+// Every conv geometry of nn/models.cpp is represented: strides 1 and 2,
+// kernels 1/3/5, padding 0 and 1, groups 1 and depthwise, K > 256 (split
+// into 256-wide blocks), OC > 256 (the input gradient's oc sums split), and
+// widths that are not a multiple of 8, on narrow and wide maps.
 INSTANTIATE_TEST_SUITE_P(
     Geometries, ConvParamTest,
-    ::testing::Values(ConvCase{make_spec(3, 4, 3, 1, 1, 1), 8, 2},   // padded 3x3
-                      ConvCase{make_spec(2, 6, 3, 2, 1, 1), 9, 2},   // strided
-                      ConvCase{make_spec(1, 4, 5, 1, 0, 1), 10, 1},  // 5x5 valid
-                      ConvCase{make_spec(4, 4, 3, 1, 1, 4), 6, 2},   // depthwise
-                      ConvCase{make_spec(4, 8, 1, 1, 0, 1), 5, 2},   // pointwise
-                      ConvCase{make_spec(4, 6, 3, 2, 1, 2), 8, 1})); // grouped strided
+    ::testing::Values(ConvCase{make_spec(3, 4, 3, 1, 1, 1), 8, 2},    // padded 3x3
+                      ConvCase{make_spec(2, 6, 3, 2, 1, 1), 9, 2},    // strided
+                      ConvCase{make_spec(1, 4, 5, 1, 0, 1), 10, 1},   // 5x5 valid
+                      ConvCase{make_spec(4, 4, 3, 1, 1, 4), 6, 2},    // depthwise
+                      ConvCase{make_spec(4, 8, 1, 1, 0, 1), 5, 2},    // pointwise
+                      ConvCase{make_spec(4, 6, 3, 2, 1, 2), 8, 1},    // grouped strided
+                      ConvCase{make_spec(3, 8, 3, 1, 1, 1), 17, 1},   // wide stem, odd width
+                      ConvCase{make_spec(4, 6, 3, 2, 1, 1), 19, 1},   // strided 3x3, wide
+                      ConvCase{make_spec(4, 6, 1, 2, 0, 1), 18, 1},   // strided 1x1 projection
+                      ConvCase{make_spec(1, 4, 5, 1, 0, 1), 20, 1},   // wide 5x5 valid
+                      ConvCase{make_spec(16, 4, 5, 1, 0, 1), 12, 1},  // 5x5 valid, K = 400
+                      ConvCase{make_spec(29, 3, 3, 1, 1, 1), 6, 1},   // padded, K = 261
+                      ConvCase{make_spec(6, 6, 3, 2, 1, 6), 11, 2},   // depthwise strided
+                      ConvCase{make_spec(2, 260, 1, 1, 0, 1), 3, 1}));  // OC = 260
 
 TEST(Im2Col, RoundTripAdjoint) {
   // col2im is the exact transpose of im2col:
