@@ -7,12 +7,30 @@
 #include "tensor/simd_common.h"
 #include "utils/thread_pool.h"
 
+#if defined(__SANITIZE_ADDRESS__)
+#define USB_ASAN_ACTIVE 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define USB_ASAN_ACTIVE 1
+#endif
+#endif
+#if defined(USB_ASAN_ACTIVE)
+#include <sanitizer/asan_interface.h>
+#else
+#define ASAN_POISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#define ASAN_UNPOISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#endif
+
 namespace usb {
 
-AlignedBuffer::~AlignedBuffer() { std::free(data_); }
+AlignedBuffer::~AlignedBuffer() {
+  ASAN_UNPOISON_MEMORY_REGION(data_, capacity_ * sizeof(float));
+  std::free(data_);
+}
 
 float* AlignedBuffer::ensure(std::size_t count) {
   if (count > capacity_) {
+    ASAN_UNPOISON_MEMORY_REGION(data_, capacity_ * sizeof(float));
     // Geometric growth so repeated slightly-larger requests settle quickly;
     // aligned_alloc requires the size to be a multiple of the alignment.
     std::size_t bytes = std::max(count, capacity_ * 2) * sizeof(float);
@@ -26,6 +44,11 @@ float* AlignedBuffer::ensure(std::size_t count) {
     if (data_ == nullptr) throw std::bad_alloc();
     capacity_ = bytes / sizeof(float);
   }
+  // Under AddressSanitizer only the requested floats are addressable, so a
+  // kernel that reads past what it asked for fails even though growth and
+  // rounding leave the buffer larger.
+  ASAN_UNPOISON_MEMORY_REGION(data_, count * sizeof(float));
+  ASAN_POISON_MEMORY_REGION(data_ + count, (capacity_ - count) * sizeof(float));
   return data_;
 }
 

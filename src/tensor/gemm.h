@@ -26,7 +26,8 @@ namespace usb {
 
 /// 64-byte aligned float scratch that grows on demand and never shrinks.
 /// Contents are unspecified after ensure(); not thread-safe (intended for
-/// thread_local instances).
+/// thread_local instances). Only the floats of the latest ensure() may be
+/// touched: AddressSanitizer builds poison the rest of the capacity.
 class AlignedBuffer {
  public:
   AlignedBuffer() = default;

@@ -30,58 +30,59 @@ void require(bool condition, const char* message) {
 using simd::v4df;
 using simd::v8sf;
 
-constexpr int kConvRows = 4;              // output channels per conv tile
+constexpr int kConvRows = 4;              // output rows per conv tile (1 for 1-row groups)
 constexpr int kConvLanes = 16;            // output pixels per conv tile: two v8sf
 constexpr std::int64_t kTermBlock = 256;  // products per partial sum: the GEMM's KC
 constexpr int kFilterRows = 6;            // output rows per filter tile
 constexpr int kFilterLanes = 4;           // output columns per filter tile: one v4df
 
-/// A conv tile: kConvRows output rows (output channels for the forward,
-/// input channels for dx) x kConvLanes lanes. The terms from `first_term`
-/// on come in `groups` tap groups (group_end[g] is one past group g's last
-/// term); term t multiplies the lanes at src + offsets[t] by
-/// weights[t * kConvRows + r] for row r. A group's products are summed from
-/// +0 in blocks of kTermBlock terms, the blocks added in order, and the
-/// group sums added in order into an accumulator that starts at +0. out
-/// receives kConvRows rows of kConvLanes floats.
+/// A conv tile: MR output rows (output channels for the forward, input
+/// channels for dx) x kConvLanes lanes. The terms from `first_term` on come
+/// in `groups` tap groups (group_end[g] is one past group g's last term);
+/// term t multiplies the lanes at src + offsets[t] by weights[t * MR + r]
+/// for row r. A group's products are summed from +0 in blocks of
+/// kTermBlock terms, the blocks added in order, and the group sums added in
+/// order into an accumulator that starts at +0. out receives MR rows of
+/// kConvLanes floats.
+template <int MR>
 USB_SIMD_INLINE void conv_tile(const float* USB_RESTRICT src,
                                const std::int64_t* USB_RESTRICT offsets,
                                const float* USB_RESTRICT weights, std::int64_t first_term,
                                const std::int64_t* USB_RESTRICT group_end, std::int64_t groups,
                                float* USB_RESTRICT out) {
-  v8sf acc[kConvRows][2] = {};
+  v8sf acc[MR][2] = {};
   std::int64_t t = first_term;
   for (std::int64_t g = 0; g < groups; ++g) {
     const std::int64_t begin = t;
-    v8sf sum[kConvRows][2] = {};
+    v8sf sum[MR][2] = {};
     while (t < group_end[g]) {
       const std::int64_t block_end = std::min(group_end[g], t + kTermBlock);
       const bool first = t == begin;
-      v8sf part[kConvRows][2] = {};
-      const float* USB_RESTRICT w = weights + t * kConvRows;
+      v8sf part[MR][2] = {};
+      const float* USB_RESTRICT w = weights + t * MR;
       for (const std::int64_t* off = offsets + t; off != offsets + block_end;
-           ++off, w += kConvRows) {
+           ++off, w += MR) {
         const float* USB_RESTRICT lanes = src + *off;
         const v8sf lo = USB_SIMD_LOAD(lanes);
         const v8sf hi = USB_SIMD_LOAD(lanes + 8);
-        for (int r = 0; r < kConvRows; ++r) {
+        for (int r = 0; r < MR; ++r) {
           const v8sf wr = USB_SIMD_BCAST(w[r]);
           part[r][0] += wr * lo;
           part[r][1] += wr * hi;
         }
       }
       t = block_end;
-      for (int r = 0; r < kConvRows; ++r) {
+      for (int r = 0; r < MR; ++r) {
         sum[r][0] = first ? part[r][0] : sum[r][0] + part[r][0];
         sum[r][1] = first ? part[r][1] : sum[r][1] + part[r][1];
       }
     }
-    for (int r = 0; r < kConvRows; ++r) {
+    for (int r = 0; r < MR; ++r) {
       acc[r][0] += sum[r][0];
       acc[r][1] += sum[r][1];
     }
   }
-  for (int r = 0; r < kConvRows; ++r) {
+  for (int r = 0; r < MR; ++r) {
     USB_SIMD_STORE(out + r * kConvLanes, acc[r][0]);
     USB_SIMD_STORE(out + r * kConvLanes + 8, acc[r][1]);
   }
@@ -122,22 +123,33 @@ using ConvTileFn = void (*)(const float*, const std::int64_t*, const float*, std
 using FilterTileFn = void (*)(const double*, std::int64_t, const TapWindow&, double*);
 
 struct DirectKernels {
-  ConvTileFn conv;
+  // Four rows per tile keep 8 independent accumulator chains in flight; a
+  // one-row group (a single-channel input's dx, depthwise) would waste
+  // three of them, so it runs one row per tile instead.
+  ConvTileFn conv_rows4;
+  ConvTileFn conv_rows1;
   FilterTileFn filter;
 };
 
 #define USB_DEFINE_DIRECT_KERNELS(SUFFIX, TARGET_ATTR)                                          \
-  TARGET_ATTR void conv_##SUFFIX(const float* src, const std::int64_t* offsets,                \
-                                 const float* weights, std::int64_t first_term,                \
-                                 const std::int64_t* group_end, std::int64_t groups,           \
-                                 float* out) {                                                 \
-    conv_tile(src, offsets, weights, first_term, group_end, groups, out);                       \
+  TARGET_ATTR void conv_rows4_##SUFFIX(const float* src, const std::int64_t* offsets,          \
+                                       const float* weights, std::int64_t first_term,          \
+                                       const std::int64_t* group_end, std::int64_t groups,     \
+                                       float* out) {                                           \
+    conv_tile<kConvRows>(src, offsets, weights, first_term, group_end, groups, out);            \
+  }                                                                                             \
+  TARGET_ATTR void conv_rows1_##SUFFIX(const float* src, const std::int64_t* offsets,          \
+                                       const float* weights, std::int64_t first_term,          \
+                                       const std::int64_t* group_end, std::int64_t groups,     \
+                                       float* out) {                                           \
+    conv_tile<1>(src, offsets, weights, first_term, group_end, groups, out);                    \
   }                                                                                             \
   TARGET_ATTR void filter_##SUFFIX(const double* src, std::int64_t pitch,                      \
                                    const TapWindow& window, double* out) {                     \
     filter_tile(src, pitch, window, out);                                                       \
   }                                                                                             \
-  constexpr DirectKernels kDirectKernels_##SUFFIX{conv_##SUFFIX, filter_##SUFFIX};
+  constexpr DirectKernels kDirectKernels_##SUFFIX{conv_rows4_##SUFFIX, conv_rows1_##SUFFIX,    \
+                                                  filter_##SUFFIX};
 
 USB_DEFINE_DIRECT_KERNELS(portable, )
 #if defined(__x86_64__) || defined(__i386__)
@@ -157,7 +169,8 @@ const DirectKernels& direct_kernels() noexcept {
 /// one group of a conv, for dx one (group, stride phase) pair.
 struct ConvProgram {
   std::int64_t row_count = 0;          // output rows (channels) of the group
-  std::int64_t panels = 0;             // tiles of kConvRows rows covering row_count
+  int rows = kConvRows;                // rows per tile: kConvRows, or 1 for a 1-row group
+  std::int64_t panels = 0;             // tiles of `rows` rows covering row_count
   std::vector<std::int64_t> offsets;   // per term, into the group's prepared planes
   std::vector<std::int64_t> group_end;
   // Lane-map rows [first, last] where a group can read nonzero source; a
@@ -165,12 +178,13 @@ struct ConvProgram {
   // zeros, so it could only add an exact +0).
   std::vector<std::pair<std::int64_t, std::int64_t>> group_rows;
   std::vector<std::int64_t> group_tap;  // kh * k + kw of each tap group (dx programs)
-  std::vector<float> weights;          // [panel][term][kConvRows], zero past row_count
+  std::vector<float> weights;          // [panel][term][rows], zero past row_count
 
   /// Starts a program over `count` rows; terms are then appended.
   void reset(std::int64_t count) {
     row_count = count;
-    panels = (count + kConvRows - 1) / kConvRows;
+    rows = count == 1 ? 1 : kConvRows;
+    panels = (count + rows - 1) / rows;
     offsets.clear();
     group_end.clear();
     group_rows.clear();
@@ -181,12 +195,12 @@ struct ConvProgram {
   template <typename WeightFn>
   void pack(WeightFn weight) {
     const auto terms = static_cast<std::int64_t>(offsets.size());
-    weights.assign(static_cast<std::size_t>(panels * terms * kConvRows), 0.0F);
+    weights.assign(static_cast<std::size_t>(panels * terms * rows), 0.0F);
     for (std::int64_t panel = 0; panel < panels; ++panel) {
       for (std::int64_t t = 0; t < terms; ++t) {
-        for (std::int64_t r = 0; r < kConvRows && panel * kConvRows + r < row_count; ++r) {
-          weights[static_cast<std::size_t>((panel * terms + t) * kConvRows + r)] =
-              weight(panel * kConvRows + r, t);
+        for (std::int64_t r = 0; r < rows && panel * rows + r < row_count; ++r) {
+          weights[static_cast<std::size_t>((panel * terms + t) * rows + r)] =
+              weight(panel * rows + r, t);
         }
       }
     }
@@ -224,6 +238,7 @@ void run_conv_program(const DirectKernels& kernels, const ConvProgram& program, 
                       const float* bias) {
   const auto terms = static_cast<std::int64_t>(program.offsets.size());
   const auto groups = static_cast<std::int64_t>(program.group_end.size());
+  const ConvTileFn tile_fn = program.rows == 1 ? kernels.conv_rows1 : kernels.conv_rows4;
   alignas(64) float tile[kConvRows * kConvLanes];
   for (std::int64_t o0 = 0; o0 < map.count; o0 += kConvLanes) {
     const std::int64_t lanes = std::min<std::int64_t>(kConvLanes, map.count - o0);
@@ -237,13 +252,13 @@ void run_conv_program(const DirectKernels& kernels, const ConvProgram& program, 
     while (live_end > live_begin && program.group_rows[live_end - 1].first > last_row) --live_end;
     const std::int64_t first_term = live_begin == 0 ? 0 : program.group_end[live_begin - 1];
     for (std::int64_t panel = 0; panel < program.panels; ++panel) {
-      const float* weights = program.weights.data() + panel * terms * kConvRows;
+      const float* weights = program.weights.data() + panel * terms * program.rows;
       const std::int64_t rows =
-          std::min<std::int64_t>(kConvRows, program.row_count - panel * kConvRows);
-      kernels.conv(src + o0, program.offsets.data(), weights, first_term,
+          std::min<std::int64_t>(program.rows, program.row_count - panel * program.rows);
+      tile_fn(src + o0, program.offsets.data(), weights, first_term,
                    program.group_end.data() + live_begin, live_end - live_begin, tile);
       for (std::int64_t r = 0; r < rows; ++r) {
-        const std::int64_t row = panel * kConvRows + r;
+        const std::int64_t row = panel * program.rows + r;
         const float row_bias = bias != nullptr ? bias[row] : 0.0F;
         // Copy the tile's runs of real lanes, one map row at a time.
         std::int64_t i = o0 / map.pitch;
@@ -319,18 +334,17 @@ void filter_planes(const Tensor& in, const Tensor& kernel, bool adjoint, Tensor&
 
   const FilterTileFn tile_fn = direct_kernels().filter;
   parallel_for(in.dim(0) * in.dim(1), [&](std::int64_t begin, std::int64_t end) {
-    thread_local std::vector<double> padded;
-    if (padded.size() < static_cast<std::size_t>(plane_doubles)) {
-      padded.resize(static_cast<std::size_t>(plane_doubles));
-    }
+    // Raw storage for plane_doubles doubles (requested in float units).
+    thread_local AlignedBuffer scratch;
+    double* const padded =
+        reinterpret_cast<double*>(scratch.ensure(static_cast<std::size_t>(2 * plane_doubles)));
     alignas(64) double tile[kFilterRows * kFilterLanes];
     TapWindow tile_window = window;
     for (std::int64_t plane = begin; plane < end; ++plane) {
-      std::fill(padded.begin(), padded.begin() + plane_doubles, 0.0);
+      std::fill(padded, padded + plane_doubles, 0.0);
       const float* in_p = in.raw() + plane * in_h * in_w;
       for (std::int64_t i = 0; i < in_h; ++i) {
-        std::copy(in_p + i * in_w, in_p + (i + 1) * in_w,
-                  padded.data() + (lead + i) * pitch + lead);
+        std::copy(in_p + i * in_w, in_p + (i + 1) * in_w, padded + (lead + i) * pitch + lead);
       }
       float* out_p = out.raw() + plane * out_h * out_w;
       for (std::int64_t tr = 0; tr < row_tiles; ++tr) {
@@ -341,7 +355,7 @@ void filter_planes(const Tensor& in, const Tensor& kernel, bool adjoint, Tensor&
           const std::int64_t q0 = tc * kFilterLanes;
           const std::int64_t cols = std::min<std::int64_t>(kFilterLanes, out_w - q0);
           std::tie(tile_window.b_begin, tile_window.b_end) = live_taps(q0, q0 + cols - 1, in_w);
-          tile_fn(padded.data() + p0 * pitch + q0 + tap_origin, pitch, tile_window, tile);
+          tile_fn(padded + p0 * pitch + q0 + tap_origin, pitch, tile_window, tile);
           for (std::int64_t r = 0; r < rows; ++r) {
             float* dst = out_p + (p0 + r) * out_w + q0;
             for (std::int64_t l = 0; l < cols; ++l) {

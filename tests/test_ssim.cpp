@@ -206,6 +206,36 @@ TEST(SsimFilters, BitwiseMatchOrderReferenceOnBothVariants) {
   }
 }
 
+/// Sparse huge values of random sign among small ones. Under an all-ones
+/// kernel the huge terms of a window cancel exactly or not at all, and the
+/// small terms survive only when added while the running double sum is
+/// small, so each float output depends on the exact tap order.
+void fill_order_sensitive(Tensor& t, Rng& rng) {
+  constexpr float kHuge = 1152921504606846976.0F;  // 2^60
+  for (std::int64_t i = 0; i < t.numel(); ++i) {
+    const float small = rng.uniform_float(-1.0F, 1.0F);
+    t[i] = rng.uniform_float(0.0F, 1.0F) < 0.3F ? (small < 0.0F ? -kHuge : kHuge) : small;
+  }
+}
+
+TEST(SsimFilters, OrderSensitiveInputsMatchOrderReference) {
+  Tensor box(Shape{3, 3});
+  box.fill(1.0F);
+  Rng rng(33);
+  Tensor x(Shape{2, 2, 16, 19});
+  Tensor g(Shape{2, 2, 14, 17});
+  fill_order_sensitive(x, rng);
+  fill_order_sensitive(g, rng);
+  const Tensor want_valid = order_reference_valid(x, box);
+  const Tensor want_adjoint = order_reference_adjoint(g, box);
+  const VariantGuard guard;
+  for (const ew::Variant variant : available_variants()) {
+    ew::force_variant(variant);
+    expect_bitwise_equal(filter2d_valid(x, box), want_valid, "filter2d_valid");
+    expect_bitwise_equal(filter2d_full_adjoint(g, box), want_adjoint, "filter2d_full_adjoint");
+  }
+}
+
 TEST(SsimFilters, GradientBitwiseIdenticalAcrossVariants) {
   Rng rng(32);
   Tensor x(Shape{4, 3, 32, 32});
