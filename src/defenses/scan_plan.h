@@ -1,20 +1,24 @@
-// A detector's scan, reified.
+// A detector's scan, reified, and the one schedule that runs it.
 //
-// Detector::plan() packages everything ClassScanScheduler needs to execute
-// the K-class fan-out — the per-class resumable-task factory, the optional
-// shared-prefix builder, and the scheduler options derived from the
-// detector's config — without binding a model, a probe set, a pool, or a
-// schedule. Two consumers run plans:
+// Detector::plan() packages everything a scan needs — the per-class
+// resumable-task factory, the optional shared-prefix builder, and the
+// scheduler options derived from the detector's config — without binding a
+// model, a probe set, a pool, or a schedule. StagedScan binds a plan to a
+// model and probe and exposes the scan's stage bodies; ScanSchedule is the
+// state machine that decides which stage follows which (monolithic,
+// per-round barrier, or async rendezvous). Two executors drive that one
+// machine:
 //
-//  - Detector::detect(): run_scan_plan(plan(), model, probe) on the calling
-//    thread — the legacy blocking API, byte-for-byte the historical
-//    per-detector detect() bodies;
+//  - Detector::detect(): run_scan_plan(plan(), model, probe) — prepare on
+//    the calling thread, class stages on the scan pool;
 //  - DetectionService: copies the plan, overrides options (ProbeStore-shared
 //    probe cache, progress callback, request-level early-exit /
-//    async-retirement settings) and drives it STAGE BY STAGE through a
-//    StagedScan: every task construction, refinement round, and finalize
-//    becomes one item on the service's global cross-request class-job
-//    scheduler (service/round_scheduler.h).
+//    async-retirement settings) and posts every stage the machine emits as
+//    one item on the service's global cross-request class-job scheduler
+//    (service/round_scheduler.h).
+//
+// Both therefore run the same stages in the same logical order, and their
+// reports are byte-identical.
 //
 // The plan's closures borrow the detector that built them; the detector
 // must outlive every run of the plan.
@@ -22,6 +26,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "defenses/class_scan_scheduler.h"
@@ -39,9 +44,8 @@ struct ScanPlan {
   ScanSharedBuilder shared_builder;  // null when the detector shares nothing
 };
 
-/// One scan decomposed into schedulable stages, for callers that own the
-/// schedule (DetectionService's global class-job scheduler) instead of
-/// blocking in run_scan_plan. The stages mirror the blocking paths exactly:
+/// One scan decomposed into its stages. The stage bodies live here; which
+/// stage follows which is ScanSchedule's (below):
 ///
 ///   prepare()                          once; probe-cache adoption + shared
 ///                                      prefix on the reference model
@@ -52,20 +56,18 @@ struct ScanPlan {
 ///   take_report()                      once; ordered MAD reduce
 ///
 /// Because run_steps slices concatenate bit-identically and every cutoff is
-/// taken at a logical point fixed by the caller's schedule structure (see
-/// class_scan_scheduler.h), a driver that replays one of the three blocking
-/// schedules — monolithic, per-round barrier, async rendezvous — produces a
-/// report bit-identical to run_scan_plan for ANY executor count, pool size,
-/// priority assignment, or interleaving with other scans.
+/// taken at a logical point fixed by the schedule's structure (see
+/// class_scan_scheduler.h), the report is bit-identical for ANY executor
+/// count, pool size, priority assignment, or interleaving with other scans.
 ///
 /// Thread-safety: stages for DISTINCT classes may run concurrently (each
 /// touches only its class's clone/task/report slots). prepare(),
 /// mad_cutoff(), and take_report() require quiescence (no class stage in
-/// flight); cross-stage ordering and visibility are the caller's (the
-/// service sequences items through its per-scan mutex). The model and probe
-/// must outlive the StagedScan; tasks — and their clones — stay alive until
-/// destruction so mad_cutoff can keep reading finalized classes' frozen
-/// statistics, exactly like the blocking early-exit path.
+/// flight); cross-stage ordering and visibility are the caller's. The model
+/// and probe must outlive the StagedScan. finalize_class() releases the
+/// class's clone and task, so a class's statistic is readable only until it
+/// finalizes — ScanSchedule emits a finalize only after every cutoff that
+/// reads the class.
 class StagedScan {
  public:
   /// Exclusive-model mode: `model` is this scan's private instance (the
@@ -80,62 +82,52 @@ class StagedScan {
   /// temporary clone instead. Bit-identical to exclusive mode: forward is a
   /// pure function of (weights, input) and clones copy every state tensor.
   StagedScan(ScanPlan plan, std::shared_ptr<const Network> model, const Dataset& probe);
-  /// Releases the per-class clone bytes registered with MemoryBudget.
+  /// Releases the clone bytes still registered with MemoryBudget.
   ~StagedScan();
 
   StagedScan(const StagedScan&) = delete;
   StagedScan& operator=(const StagedScan&) = delete;
 
   [[nodiscard]] std::int64_t num_classes() const noexcept { return num_classes_; }
-  [[nodiscard]] bool early_exit_enabled() const noexcept {
-    return plan_.options.early_exit.enabled;
+  [[nodiscard]] const EarlyExitOptions& early_exit() const noexcept {
+    return plan_.options.early_exit;
   }
-  [[nodiscard]] bool async_retirement() const noexcept { return plan_.options.early_exit.async; }
-  [[nodiscard]] std::int64_t min_rounds() const noexcept {
-    return plan_.options.early_exit.min_rounds;
-  }
-  /// Steps per round, derived exactly as the blocking paths derive it.
-  [[nodiscard]] std::int64_t round_steps() const noexcept { return round_steps_; }
 
   /// Adopts or builds the probe cache and runs the detector's shared-prefix
   /// builder on the reference model. Call once, before any other stage.
   void prepare();
 
   /// Clones the model and constructs class t's resumable task (the whole
-  /// pre-refinement pipeline). Timer parity with the blocking paths: the
-  /// per-class clock starts after the clone.
+  /// pre-refinement pipeline). The per-class clock starts after the clone.
   void construct_class(std::int64_t target_class);
 
   /// Advances class t by one round (min(round_steps, its remaining
   /// budget)); returns true while budget remains afterwards. A task whose
-  /// own exit condition fires mid-round zeroes its budget, same as the
-  /// blocking paths.
+  /// own exit condition fires mid-round zeroes its budget. A non-finite
+  /// statistic after the round quarantines the class.
   bool run_round(std::int64_t target_class);
 
   [[nodiscard]] bool has_budget(std::int64_t target_class) const;
 
-  /// Current mask-L1 statistic of a constructed class (frozen once the
-  /// class stops running rounds). Cheap, non-mutating. A quarantined class
-  /// reads NaN so every cutoff population it feeds peels it out.
+  /// Current mask-L1 statistic of a constructed, not yet finalized class
+  /// (frozen once the class stops running rounds). Cheap, non-mutating. A
+  /// quarantined class reads NaN so every cutoff population it feeds peels
+  /// it out.
   [[nodiscard]] double stat(std::int64_t target_class) const;
 
-  /// True once run_round observed a non-finite statistic for class t and
-  /// quarantined it (budget zeroed, per-class state kNumericallyUnstable,
-  /// excluded from cutoffs and the verdict).
-  [[nodiscard]] bool quarantined(std::int64_t target_class) const;
-
   /// The early-exit cutoff over ALL classes' current statistics in class
-  /// order — median + margin * 1.4826 * MAD, the same population and
-  /// formula as the blocking barriers. Requires every class constructed and
-  /// no class stage in flight.
+  /// order — median + margin * 1.4826 * MAD, the population the final MAD
+  /// rule sees. Requires every class constructed, none finalized, and no
+  /// class stage in flight.
   [[nodiscard]] double mad_cutoff() const;
 
   /// Drops class t's remaining budget and emits the kRetired progress
   /// event with its current statistic.
   void retire_class(std::int64_t target_class);
 
-  /// Evaluates class t's fooling rate, assembles its estimate, and emits
-  /// kFinalized. Exactly once per class, after its last round.
+  /// Evaluates class t's fooling rate, assembles its estimate, emits
+  /// kFinalized, and releases the class's clone and task. Exactly once per
+  /// class, after its last round and after every cutoff that reads it.
   void finalize_class(std::int64_t target_class);
 
   /// Ordered MAD reduction + wall time. Call once, with no class stage in
@@ -150,6 +142,8 @@ class StagedScan {
              const Dataset& probe);
 
   void notify(std::int64_t target_class, ClassScanEvent event, double mask_l1) const;
+  /// Drops class `slot`'s task and clone and their MemoryBudget bytes.
+  void release_class(std::size_t slot);
 
   /// The read-only reference model: the exclusive instance or the shared
   /// one. Only clone_network() and the (exclusive-mode) prefix build touch
@@ -177,13 +171,92 @@ class StagedScan {
   DetectionReport report_;
 };
 
-/// Runs a plan to completion on the calling thread — the single scan
-/// execution path behind both detect() and the service. Early exit disabled
-/// takes the monolithic run() path (each class's task constructed, advanced
-/// through its whole budget in one slice, finalized — exactly the historical
-/// reverse_engineer_class body); enabled takes run_early_exit(), which
-/// itself dispatches to the async-retirement schedule when
-/// options.early_exit.async is set.
+/// One unit of work ScanSchedule hands its executor.
+struct ScanStage {
+  enum class Kind : std::uint8_t { kConstruct, kRound, kCutoff, kRetire, kFinalize };
+  Kind kind = Kind::kConstruct;
+  /// The class the stage works on; -1 for kCutoff, which reads every class.
+  std::int64_t target_class = -1;
+};
+
+/// The scan's schedule as a state machine over one StagedScan. start()
+/// emits the K construct stages (call it after prepare()); the executor
+/// runs each emitted stage with execute() and then reports it with
+/// complete(), which returns the stages that may run next. Three rules, chosen by the
+/// plan's EarlyExitOptions:
+///
+///  - monolithic (early exit disabled): construct -> rounds until the
+///    budget is spent -> finalize, per class; no cross-class flow;
+///  - sync barrier: rounds in lockstep once every class is constructed;
+///    from round min_rounds on, each barrier takes a cutoff and retires
+///    every class whose statistic exceeds it;
+///  - async rendezvous: each class runs max(1, min_rounds) rounds (or to
+///    exhaustion) and arrives; once all K arrived ONE cutoff is taken, and
+///    each class then checks it before every further round.
+///
+/// A class retires iff stat > cutoff — a NaN cutoff (an infinite margin
+/// over a zero MAD) retires nothing. A cutoff is its own stage and runs
+/// only with no class stage in flight, and a class's finalize is emitted
+/// only after every cutoff that reads it (mad_cutoff()'s quiescence
+/// contract), so a retried cutoff recomputes only the cutoff.
+///
+/// Threading: execute() may run concurrently for stages of distinct
+/// classes — the machine never emits two stages of one class at once —
+/// while start() and complete() must be serialised by the caller, and each
+/// complete() must follow its stage's execute().
+class ScanSchedule {
+ public:
+  explicit ScanSchedule(StagedScan& scan);
+  ScanSchedule(const ScanSchedule&) = delete;
+  ScanSchedule& operator=(const ScanSchedule&) = delete;
+
+  [[nodiscard]] std::vector<ScanStage> start();
+  /// Executes the stage's body on the StagedScan.
+  void execute(const ScanStage& stage);
+  [[nodiscard]] std::vector<ScanStage> complete(const ScanStage& stage);
+  /// True once every class has finalized.
+  [[nodiscard]] bool finished() const noexcept { return finalized_ == num_classes_; }
+
+  /// The stage's static name ("scan.round", ...) for traces and heartbeats.
+  [[nodiscard]] static const char* label(ScanStage::Kind kind) noexcept;
+
+ private:
+  void advance(std::int64_t target_class, std::vector<ScanStage>& next);
+  void arrive(std::int64_t target_class, std::vector<ScanStage>& next);
+  void barrier(std::vector<ScanStage>& next);
+  void emit_rounds(std::vector<ScanStage>& next);
+  void stop_refining(std::int64_t target_class, std::vector<ScanStage>& next);
+  void release(std::vector<ScanStage>& next);
+
+  StagedScan& scan_;
+  std::int64_t num_classes_;
+  bool sync_;   // per-round barrier
+  bool async_;  // single rendezvous
+  std::int64_t constructed_ = 0;
+  std::int64_t finalized_ = 0;
+  /// False while a cutoff may still read a stopped class: its finalize is
+  /// parked until then.
+  bool cutoffs_done_;
+  std::vector<std::int64_t> parked_;
+  double cutoff_ = 0.0;
+  // Sync barrier: the classes in the current round, class stages of the
+  // current wave still running, and rounds completed.
+  std::vector<std::int64_t> active_;
+  std::int64_t in_flight_ = 0;
+  std::int64_t rounds_done_ = 0;
+  // Async rendezvous: rounds each class still owes, arrivals, and arrived
+  // classes with budget left.
+  std::vector<std::int64_t> rendezvous_left_;
+  std::int64_t arrived_ = 0;
+  std::vector<std::int64_t> waiting_;
+};
+
+/// Runs a plan to completion and returns its report — Detector::detect()'s
+/// executor for ScanSchedule. prepare() runs on the calling thread; each
+/// wave of emitted stages runs on the plan's pool (options.pool, else
+/// ThreadPool::global()) through parallel_for, and a worker runs a lone
+/// same-class successor itself, so a monolithic scan is one pass per class
+/// on one worker.
 [[nodiscard]] DetectionReport run_scan_plan(const ScanPlan& plan, Network& model,
                                             const Dataset& probe);
 

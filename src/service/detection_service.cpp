@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <optional>
 #include <stdexcept>
@@ -120,29 +121,19 @@ struct ScanState {
   }
 };
 
-/// One admitted scan's replay of a blocking schedule as discrete items on
-/// the service's global RoundScheduler. Message-driven: every stage's
-/// completion decides (under mu_) which stages to post next; nothing ever
-/// blocks waiting for another stage, so a single dispatcher can interleave
-/// any number of scans and cancellation simply stops posting.
-///
-/// The three modes replicate class_scan_scheduler.cpp's three schedules
-/// stage for stage:
-///  - kMonolithic (early exit disabled): construct -> rounds until budget
-///    exhausted -> finalize, per class, no cross-class flow. Identical to
-///    run() by the run_steps slicing contract.
-///  - kSyncBarrier: all classes constructed, then lockstep rounds; the
-///    LAST arriver of each round recomputes the MAD cutoff (from round
-///    min_rounds on) over ALL classes and retires the outliers — the same
-///    population, formula, and logical point as run_early_exit.
-///  - kAsyncRendezvous: each class runs max(1, min_rounds) rounds (or to
-///    exhaustion) and "arrives"; the K-th arrival fixes the single cutoff;
-///    untethered classes then check it BEFORE every further round, exactly
-///    like run_async_retire.
+/// One admitted scan, executed as discrete items on the service's global
+/// RoundScheduler: every stage the scan's ScanSchedule emits becomes one
+/// item, posted under the stage's static label. Message-driven: each
+/// stage's completion asks the schedule (under mu_) which stages follow;
+/// nothing ever blocks waiting for another stage, so a single dispatcher
+/// can interleave any number of scans and cancellation simply stops
+/// posting. The execution itself owns only admission, retries, deadlines,
+/// cancellation, and the outcome.
 ///
 /// Which dispatcher runs a stage, and how stages of different scans
 /// interleave, is explicitly schedule-only — every cutoff is a pure
-/// function of class-deterministic statistics read at those fixed points.
+/// function of class-deterministic statistics read at fixed logical points
+/// (scan_plan.h).
 class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
  public:
   ScanExecution(DetectionService& service, std::shared_ptr<ScanState> state)
@@ -187,13 +178,8 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
         job_ = service_->scheduler_.create_job(std::move(job_options));
         outstanding_ = 1;
         service_->scheduler_.enqueue(
-            job_,
-            // The inner stage function captures `self` BY VALUE: a retry
-            // copies it past this enqueued wrapper's lifetime.
-            [self = shared_from_this()] {
-              self->run_stage("scan.init", [self] { self->stage_init(); }, 0);
-            },
-            "scan.init");
+            job_, [self = shared_from_this()] { self->run_stage(std::nullopt, 0); },
+            kInitLabel);
       }
     }
     for (const auto& exec : launches) exec->launch();
@@ -256,7 +242,7 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
 
  private:
   enum class Phase { kQueued, kLaunched, kTerminal };
-  enum class Mode { kMonolithic, kSyncBarrier, kAsyncRendezvous };
+  static constexpr const char* kInitLabel = "scan.init";
 
   /// The common immediate-resolution path behind request_cancel (timeout =
   /// false) and request_timeout (true). See request_cancel for semantics.
@@ -295,11 +281,13 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
   /// Every scheduler item: skip the stage if the scan is past its
   /// deadline, cancelled, or failed (the chain then drains), route
   /// exceptions into the outcome — retrying TRANSIENT ones while budget
-  /// remains — and run the completion accounting. The whole item runs
-  /// under a FaultScope tagged with the scan id, so injected faults scoped
-  /// to one scan can never leak into a concurrent healthy one
+  /// remains — post the stages the schedule emits next, and run the
+  /// completion accounting. `stage` is empty for the init stage (probe and
+  /// model resolution, prepare()). The whole item runs under a FaultScope
+  /// tagged with the scan id, so injected faults scoped to one scan can
+  /// never leak into a concurrent healthy one
   /// (tests/test_fault_injection.cpp).
-  void run_stage(const char* label, const std::function<void()>& stage, int attempt) {
+  void run_stage(const std::optional<ScanStage>& stage, int attempt) {
     const fault::FaultScope fault_scope(state_->id);
     bool skip = false;
     if (state_->deadline_expired()) {
@@ -313,17 +301,24 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
       skip = failed_ || timed_out_;
     }
     if (!skip) {
+      bool ran = false;
       try {
-        stage();
-      } catch (const ScanCancelled&) {
-        state_->cancel.store(true, std::memory_order_relaxed);
-      } catch (const ScanTimedOut&) {
-        const std::lock_guard<std::mutex> lock(mu_);
-        timed_out_ = true;
+        if (stage.has_value()) {
+          schedule_->execute(*stage);
+        } else {
+          stage_init();
+        }
+        ran = true;
       } catch (const std::exception& error) {
-        if (!maybe_retry(label, stage, attempt, error)) mark_failed(error.what());
+        if (!maybe_retry(stage, attempt, error)) mark_failed(error.what());
       } catch (...) {
         mark_failed("unknown scan failure");
+      }
+      if (ran) {
+        // Outside the try: a throw here is the completion path's own
+        // failure (routed by on_item_error), never a retry of the stage.
+        const std::lock_guard<std::mutex> lock(mu_);
+        post_locked(stage.has_value() ? schedule_->complete(*stage) : schedule_->start());
       }
     }
     complete_item();
@@ -348,8 +343,8 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
   /// per-item budget is spent, or the scan is already aborting. The
   /// replacement item is posted BEFORE this one completes (net outstanding
   /// unchanged), so the scan cannot transiently look finished.
-  [[nodiscard]] bool maybe_retry(const char* label, const std::function<void()>& stage,
-                                 int attempt, const std::exception& error) {
+  [[nodiscard]] bool maybe_retry(const std::optional<ScanStage>& stage, int attempt,
+                                 const std::exception& error) {
     if (!is_transient_failure(error)) return false;
     if (attempt >= state_->max_retries) return false;
     if (state_->cancel.load(std::memory_order_relaxed) || state_->deadline_expired()) return false;
@@ -362,10 +357,8 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
     ++outstanding_;
     service_->scheduler_.enqueue_after(
         job_, backoff,
-        [self = shared_from_this(), label, stage, next = attempt + 1] {
-          self->run_stage(label, stage, next);
-        },
-        label);
+        [self = shared_from_this(), stage, next = attempt + 1] { self->run_stage(stage, next); },
+        label(stage));
     return true;
   }
 
@@ -377,11 +370,6 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
   void on_item_error(const std::exception_ptr& error) {
     try {
       std::rethrow_exception(error);
-    } catch (const ScanCancelled&) {
-      state_->cancel.store(true, std::memory_order_relaxed);
-    } catch (const ScanTimedOut&) {
-      const std::lock_guard<std::mutex> lock(mu_);
-      timed_out_ = true;
     } catch (const std::exception& e) {
       mark_failed(e.what());
     } catch (...) {
@@ -390,17 +378,19 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
     complete_item();
   }
 
-  /// Posts a stage as one scheduler item. Caller must hold mu_. `label`
-  /// must be static storage (string literal): it is published in
-  /// heartbeats and kept by retry re-enqueues.
-  void post_locked(const char* label, std::function<void()> stage) {
-    ++outstanding_;
-    service_->scheduler_.enqueue(
-        job_,
-        [self = shared_from_this(), label, stage = std::move(stage)] {
-          self->run_stage(label, stage, 0);
-        },
-        label);
+  /// The item's static label, published in heartbeats.
+  [[nodiscard]] static const char* label(const std::optional<ScanStage>& stage) noexcept {
+    return stage.has_value() ? ScanSchedule::label(stage->kind) : kInitLabel;
+  }
+
+  /// Posts each stage as one scheduler item. Caller must hold mu_.
+  void post_locked(const std::vector<ScanStage>& stages) {
+    for (const ScanStage& stage : stages) {
+      ++outstanding_;
+      service_->scheduler_.enqueue(
+          job_, [self = shared_from_this(), stage] { self->run_stage(stage, 0); },
+          ScanSchedule::label(stage.kind));
+    }
   }
 
   void mark_failed(const std::string& what) {
@@ -447,11 +437,10 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
     // The detector's own plan, with the service's session state wired in.
     // None of the overrides has a numeric effect (cache adoption is
     // schedule-only; progress carries no data into the scan), so a
-    // default-options run matches detect() byte for byte. options.pool and
-    // options.cancel stay as the detector left them: the staged path never
-    // enters the blocking scheduler — tensor kernels adopt scan_pool_
-    // through the dispatchers' WorkerContext, and cancellation is checked
-    // at every item boundary by run_stage.
+    // default-options run matches detect() byte for byte. options.pool
+    // stays as the detector left it and goes unused here: tensor kernels
+    // adopt scan_pool_ through the dispatchers' WorkerContext, and
+    // cancellation is checked at every item boundary by run_stage.
     ScanPlan plan = state_->detector->plan();
     if (state_->options.progress) plan.options.progress = state_->options.progress;
     if (state_->options.early_exit.has_value()) {
@@ -473,181 +462,7 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
       staged_.emplace(std::move(plan), *state_->model, probe);
     }
     staged_->prepare();
-
-    const std::lock_guard<std::mutex> lock(mu_);
-    num_classes_ = staged_->num_classes();
-    mode_ = !staged_->early_exit_enabled() ? Mode::kMonolithic
-            : staged_->async_retirement()  ? Mode::kAsyncRendezvous
-                                           : Mode::kSyncBarrier;
-    if (mode_ == Mode::kAsyncRendezvous) {
-      // rendezvous = max(1, min_rounds) rounds, matching run_async_retire's
-      // rendezvous_steps = round_steps * max(1, min_rounds).
-      rendezvous_left_.assign(static_cast<std::size_t>(num_classes_),
-                              std::max<std::int64_t>(1, staged_->min_rounds()));
-    }
-    for (std::int64_t t = 0; t < num_classes_; ++t) {
-      post_locked("scan.construct", [this, t] { stage_construct(t); });
-    }
-  }
-
-  void stage_construct(std::int64_t t) {
-    staged_->construct_class(t);
-    const std::lock_guard<std::mutex> lock(mu_);
-    ++constructed_;
-    switch (mode_) {
-      case Mode::kMonolithic:
-        // No cross-class flow: each class marches to exhaustion on its own.
-        if (staged_->has_budget(t)) {
-          post_locked("scan.round", [this, t] { stage_round_mono(t); });
-        } else {
-          post_locked("scan.finalize", [this, t] { stage_finalize(t); });
-        }
-        break;
-      case Mode::kSyncBarrier:
-        // Lockstep rounds need the full active set; round 1 starts once
-        // every class is constructed (the blocking path's phase boundary).
-        if (constructed_ == num_classes_) {
-          for (std::int64_t u = 0; u < num_classes_; ++u) {
-            if (staged_->has_budget(u)) {
-              active_.push_back(u);
-            } else {
-              post_locked("scan.finalize", [this, u] { stage_finalize(u); });
-            }
-          }
-          for (const std::int64_t u : active_) {
-            post_locked("scan.round", [this, u] { stage_round_sync(u); });
-          }
-        }
-        break;
-      case Mode::kAsyncRendezvous:
-        // A class's rendezvous rounds need no other class: start rolling
-        // immediately. The cutoff still waits for all K arrivals.
-        if (staged_->has_budget(t)) {
-          post_locked("scan.round", [this, t] { stage_rendezvous_round(t); });
-        } else {
-          note_arrival_locked(t, /*more=*/false);
-        }
-        break;
-    }
-  }
-
-  void stage_round_mono(std::int64_t t) {
-    const bool more = staged_->run_round(t);
-    const std::lock_guard<std::mutex> lock(mu_);
-    if (more) {
-      post_locked("scan.round", [this, t] { stage_round_mono(t); });
-    } else {
-      post_locked("scan.finalize", [this, t] { stage_finalize(t); });
-    }
-  }
-
-  void stage_round_sync(std::int64_t t) {
-    staged_->run_round(t);
-    const std::lock_guard<std::mutex> lock(mu_);
-    if (++barrier_arrived_ == static_cast<std::int64_t>(active_.size())) barrier_locked();
-  }
-
-  /// The per-round barrier, run by the round's last arriver under mu_.
-  /// Mirrors run_early_exit's loop tail: drop exhausted classes to
-  /// finalize, recompute the cutoff from round min_rounds on, retire
-  /// outliers, relaunch the survivors. mad_cutoff() is safe here: every
-  /// active class's round completed (we are the last arrival, ordered
-  /// through mu_) and stopped classes hold frozen statistics.
-  void barrier_locked() {
-    barrier_arrived_ = 0;
-    ++rounds_done_;
-    std::vector<std::int64_t> next;
-    for (const std::int64_t t : active_) {
-      if (staged_->has_budget(t)) {
-        next.push_back(t);
-      } else {
-        post_locked("scan.finalize", [this, t] { stage_finalize(t); });
-      }
-    }
-    if (!next.empty() && rounds_done_ >= staged_->min_rounds()) {
-      const double cutoff = staged_->mad_cutoff();
-      std::vector<std::int64_t> survivors;
-      for (const std::int64_t t : next) {
-        if (staged_->stat(t) <= cutoff) {
-          survivors.push_back(t);
-        } else {
-          // kRetired notifies user code — post an item rather than calling
-          // under mu_ (a callback may legally call handle->cancel()).
-          post_locked("scan.retire", [this, t] { stage_retire(t); });
-        }
-      }
-      next = std::move(survivors);
-    }
-    active_ = std::move(next);
-    for (const std::int64_t t : active_) {
-      post_locked("scan.round", [this, t] { stage_round_sync(t); });
-    }
-  }
-
-  void stage_retire(std::int64_t t) {
-    staged_->retire_class(t);
-    const std::lock_guard<std::mutex> lock(mu_);
-    post_locked("scan.finalize", [this, t] { stage_finalize(t); });
-  }
-
-  void stage_rendezvous_round(std::int64_t t) {
-    const bool more = staged_->run_round(t);
-    const std::lock_guard<std::mutex> lock(mu_);
-    auto& left = rendezvous_left_[static_cast<std::size_t>(t)];
-    --left;
-    if (more && left > 0) {
-      post_locked("scan.round", [this, t] { stage_rendezvous_round(t); });
-    } else {
-      note_arrival_locked(t, more);
-    }
-  }
-
-  /// Class t reached the rendezvous (ran its min rounds, or exhausted its
-  /// budget / own exit first). The K-th arrival fixes the one cutoff — the
-  /// only cross-class data flow of the async schedule.
-  void note_arrival_locked(std::int64_t t, bool more) {
-    ++arrived_;
-    if (more) {
-      waiting_.push_back(t);
-    } else {
-      post_locked("scan.finalize", [this, t] { stage_finalize(t); });
-    }
-    if (arrived_ == num_classes_) {
-      cutoff_ = staged_->mad_cutoff();
-      for (const std::int64_t u : waiting_) {
-        post_locked("scan.round", [this, u] { stage_untethered_round(u); });
-      }
-      waiting_.clear();
-    }
-  }
-
-  void stage_untethered_round(std::int64_t t) {
-    double cutoff;
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      cutoff = cutoff_;
-    }
-    // Cutoff first, before spending another round — run_async_retire's
-    // phase 2b loop head.
-    if (staged_->stat(t) > cutoff) {
-      staged_->retire_class(t);
-      const std::lock_guard<std::mutex> lock(mu_);
-      post_locked("scan.finalize", [this, t] { stage_finalize(t); });
-      return;
-    }
-    const bool more = staged_->run_round(t);
-    const std::lock_guard<std::mutex> lock(mu_);
-    if (more) {
-      post_locked("scan.round", [this, t] { stage_untethered_round(t); });
-    } else {
-      post_locked("scan.finalize", [this, t] { stage_finalize(t); });
-    }
-  }
-
-  void stage_finalize(std::int64_t t) {
-    staged_->finalize_class(t);
-    const std::lock_guard<std::mutex> lock(mu_);
-    ++finalized_;
+    schedule_.emplace(*staged_);
   }
 
   /// Item-completion accounting. The scan is terminal when its last
@@ -669,7 +484,7 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
                             ? error_ + " (after " + std::to_string(retries_) + " retries)"
                             : error_;
         service_->failed_.fetch_add(1);
-      } else if (staged_.has_value() && finalized_ == num_classes_) {
+      } else if (schedule_.has_value() && schedule_->finished()) {
         try {
           outcome.report = staged_->take_report();
           outcome.status = ScanStatus::kDone;
@@ -703,6 +518,7 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
       outcome.retries = retries_;
       // Release tasks, clones, and the borrowed probe-cache pointer BEFORE
       // finish() drops the detector and the stored probe they point into.
+      schedule_.reset();
       staged_.reset();
       state_->finish(std::move(outcome));
       service_->scheduler_.retire_job(job_);
@@ -719,27 +535,13 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
 
   std::mutex mu_;
   Phase phase_ = Phase::kQueued;
-  Mode mode_ = Mode::kMonolithic;
   std::optional<StagedScan> staged_;
+  std::optional<ScanSchedule> schedule_;  // over *staged_; set once prepared
   std::int64_t outstanding_ = 0;  // items posted, not yet completed
-  std::int64_t num_classes_ = -1;
-  std::int64_t constructed_ = 0;
-  std::int64_t finalized_ = 0;
   bool failed_ = false;
   bool timed_out_ = false;
   std::int64_t retries_ = 0;  // stage items re-enqueued after transient failures
   std::string error_;
-
-  // kSyncBarrier bookkeeping.
-  std::vector<std::int64_t> active_;
-  std::int64_t barrier_arrived_ = 0;
-  std::int64_t rounds_done_ = 0;
-
-  // kAsyncRendezvous bookkeeping.
-  std::vector<std::int64_t> rendezvous_left_;
-  std::vector<std::int64_t> waiting_;
-  std::int64_t arrived_ = 0;
-  double cutoff_ = 0.0;
 };
 
 }  // namespace detail
@@ -901,6 +703,11 @@ ScanHandle DetectionService::submit(ScanRequest request) {
   if (request.detector == nullptr) throw std::invalid_argument("ScanRequest: null detector");
   if (!request.probe_key.has_value() && request.probe == nullptr) {
     throw std::invalid_argument("ScanRequest: neither probe_key nor probe set");
+  }
+  // A NaN weight would make the job's virtual time NaN (every fair-share
+  // comparison then always or never prefers it); +inf never advances it.
+  if (!std::isfinite(request.options.fair_weight)) {
+    throw std::invalid_argument("ScanRequest: fair_weight must be finite");
   }
 
   // Admission control BEFORE any expensive work: a rejected request costs

@@ -32,8 +32,8 @@
 // cross-request case): every class trajectory is a schedule-free function
 // of (base_seed, class) — run_steps slices concatenate bit-identically —
 // and the only cross-class data flows are MAD cutoffs taken at logical
-// points fixed by the schedule STRUCTURE, not by timing. The service
-// replays exactly one of the three blocking schedules per scan: monolithic
+// points fixed by the schedule STRUCTURE, not by timing. The service runs
+// the same ScanSchedule (defenses/scan_plan.h) detect() runs: monolithic
 // (no early exit), per-round barrier (early exit: the cutoff item runs
 // only after every active class's round r completed), or async rendezvous
 // (each class arrives after min_rounds rounds; the single cutoff is taken
@@ -47,9 +47,9 @@
 //
 // FAILURE SEMANTICS (the robustness layer; see also README "Failure
 // semantics" and tests/test_fault_injection.cpp + tests/test_overload.cpp):
-//  - deadlines: checked at every stage boundary (and by the scheduler's
-//    blocking paths at round boundaries). Expiry resolves kTimedOut with a
-//    partial report whose per_class_state says how far each class got.
+//  - deadlines: checked at every stage boundary. Expiry resolves kTimedOut
+//    with a partial report whose per_class_state says how far each class
+//    got.
 //  - fault isolation: an exception escaping any stage item is routed to
 //    the owning scan (kFailed + error); the dispatcher crew and every
 //    other scan's queue keep draining — one faulty request fails only
@@ -133,9 +133,9 @@ struct ScanOutcome {
 /// nothing: the scan runs exactly as the detector's own config dictates,
 /// which is what makes default submit() byte-identical to detect().
 struct ScanOptions {
-  /// When set, replaces the detector's early-exit configuration — the
-  /// intended switch for async retirement (EarlyExitOptions::async), which
-  /// no detector config sets on its own.
+  /// When set, replaces the detector's early-exit configuration (async
+  /// retirement included); the scan then matches a detect() whose config
+  /// carries the same settings.
   std::optional<EarlyExitOptions> early_exit;
   /// Per-class progress notifications (task finalized / early-retired).
   /// Invoked from dispatcher threads, possibly concurrently — must be
@@ -146,7 +146,8 @@ struct ScanOptions {
   int priority = 0;
   /// Fair-share weight among equal-priority scans (see
   /// RoundScheduler::JobOptions::weight). Values <= 0 are clamped up to a
-  /// tiny positive weight. No numeric effect.
+  /// tiny positive weight; submit() rejects a non-finite weight with
+  /// std::invalid_argument. No numeric effect.
   double fair_weight = 1.0;
   /// Wall-clock deadline, measured from submit(). <= 0 falls back to
   /// DetectionServiceConfig::default_deadline_seconds (whose 0 means no

@@ -72,6 +72,7 @@ BinaryReader BinaryReader::from_file(const std::string& path) {
 
 void BinaryReader::take(void* out, std::size_t size) {
   if (cursor_ + size > buffer_.size()) throw std::runtime_error("BinaryReader: truncated input");
+  if (size == 0) return;  // an empty vector's data() may be null: memcpy forbids it
   std::memcpy(out, buffer_.data() + cursor_, size);
   cursor_ += size;
 }

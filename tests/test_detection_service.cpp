@@ -17,12 +17,16 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <limits>
+#include <mutex>
 #include <optional>
 #include <thread>
+#include <vector>
 
 #include "core/usb.h"
 #include "data/synthetic.h"
 #include "defenses/neural_cleanse.h"
+#include "defenses/scan_plan.h"
 #include "nn/models.h"
 #include "service/detection_service.h"
 
@@ -349,6 +353,26 @@ TEST(DetectionService, ShutdownCancelsOutstandingScans) {
   }
 }
 
+// fair_weight feeds the fair-share virtual time: a NaN would make every
+// comparison against the job always or never prefer it, and +inf would
+// never advance it, so submit() refuses both before admitting anything.
+TEST(DetectionService, NonFiniteFairWeightIsRejected) {
+  const DatasetSpec spec = tiny_spec(4);
+  Network victim = make_network(Architecture::kBasicCnn, 1, 16, 4, 101);
+  DetectionService service(service_config(/*scan_threads=*/1));
+  for (const double weight : {std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity(),
+                              -std::numeric_limits<double>::infinity()}) {
+    ScanRequest request;
+    request.model = &victim;
+    request.detector = std::make_unique<NeuralCleanse>(tiny_nc_config());
+    request.probe_key = ProbeKey{spec, 32, 1};
+    request.options.fair_weight = weight;
+    EXPECT_THROW((void)service.submit(std::move(request)), std::invalid_argument) << weight;
+  }
+  EXPECT_EQ(service.scans_submitted(), 0);
+}
+
 TEST(DetectionService, MalformedRequestsAreRejected) {
   const DatasetSpec spec = tiny_spec(4);
   Network victim = make_network(Architecture::kBasicCnn, 1, 16, 4, 100);
@@ -368,6 +392,95 @@ TEST(DetectionService, MalformedRequestsAreRejected) {
   no_probe.model = &victim;
   no_probe.detector = std::make_unique<NeuralCleanse>(tiny_nc_config());
   EXPECT_THROW((void)service.submit(std::move(no_probe)), std::invalid_argument);
+}
+
+// ---- One schedule for detect() and the service -------------------------
+
+namespace {
+
+/// A task whose statistic never moves: every class reads the same value,
+/// so the MAD is 0 and an infinite margin makes the cutoff inf * 0 = NaN.
+class ConstantStatTask final : public ClassRefineTask {
+ public:
+  explicit ConstantStatTask(std::int64_t target_class) : target_class_(target_class) {}
+  std::int64_t run_steps(std::int64_t steps) override { return steps; }
+  [[nodiscard]] double current_mask_l1() const override { return 3.0; }
+  [[nodiscard]] TriggerEstimate finalize() override {
+    TriggerEstimate estimate;
+    estimate.target_class = target_class_;
+    estimate.pattern = Tensor(Shape{1, 16, 16});
+    estimate.mask = Tensor(Shape{16, 16});
+    estimate.mask_l1 = 3.0;
+    return estimate;
+  }
+
+ private:
+  std::int64_t target_class_;
+};
+
+class ConstantStatDetector final : public Detector {
+ public:
+  explicit ConstantStatDetector(EarlyExitOptions early_exit) : early_exit_(early_exit) {}
+  [[nodiscard]] std::string name() const override { return "constant"; }
+  [[nodiscard]] ScanPlan plan() const override {
+    ScanPlan scan;
+    scan.method = name();
+    scan.options.early_exit = early_exit_;
+    scan.total_steps = 6;
+    scan.make_task = [](Network&, const Dataset&,
+                        const ClassScanJob& job) -> std::unique_ptr<ClassRefineTask> {
+      return std::make_unique<ConstantStatTask>(job.target_class);
+    };
+    return scan;
+  }
+
+ private:
+  EarlyExitOptions early_exit_;
+};
+
+}  // namespace
+
+// One retirement predicate (stat > cutoff) for every schedule: a NaN cutoff
+// retires nothing, in the sync-barrier and the async-rendezvous schedule,
+// through detect() and through the service alike.
+TEST(DetectionService, NanCutoffRetiresNoClassInEitherScheduleOrPath) {
+  const DatasetSpec spec = tiny_spec(4);
+  const Dataset probe = generate_dataset(spec, 16, 102);
+  Network victim = make_network(Architecture::kBasicCnn, 1, 16, 4, 103);
+  DetectionService service(service_config(/*scan_threads=*/2));
+
+  for (const bool async : {false, true}) {
+    EarlyExitOptions early;
+    early.enabled = true;
+    early.async = async;
+    early.round_steps = 2;
+    early.margin = std::numeric_limits<double>::infinity();
+
+    std::mutex mu;
+    std::vector<std::int64_t> retired;
+    const ClassProgressFn progress = [&](std::int64_t t, ClassScanEvent event, double) {
+      if (event != ClassScanEvent::kRetired) return;
+      const std::lock_guard<std::mutex> lock(mu);
+      retired.push_back(t);
+    };
+
+    ConstantStatDetector detector(early);
+    ScanPlan plan = detector.plan();
+    plan.options.progress = progress;
+    const DetectionReport direct = run_scan_plan(plan, victim, probe);
+    EXPECT_TRUE(direct.complete()) << "async=" << async;
+
+    ScanRequest request;
+    request.model = &victim;
+    request.probe = &probe;
+    request.detector = std::make_unique<ConstantStatDetector>(early);
+    request.options.progress = progress;
+    const ScanHandle handle = service.submit(std::move(request));
+    const ScanOutcome& outcome = handle.wait();
+    ASSERT_EQ(outcome.status, ScanStatus::kDone) << outcome.error;
+    expect_reports_identical(direct, outcome.report);
+    EXPECT_TRUE(retired.empty()) << "async=" << async << ": " << retired.size() << " retired";
+  }
 }
 
 // ---- ProbeStore eviction (LRU by bytes) ---------------------------------

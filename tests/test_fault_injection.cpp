@@ -34,6 +34,7 @@
 #include "defenses/neural_cleanse.h"
 #include "nn/models.h"
 #include "service/detection_service.h"
+#include "service/wire.h"
 #include "utils/fault_injection.h"
 
 namespace usb {
@@ -315,6 +316,60 @@ TEST_F(FaultInjectionTest, BlockingEarlyExitPathQuarantinesAtRoundBoundary) {
   const auto slot = static_cast<std::size_t>(quarantined[0]);
   EXPECT_TRUE(std::isnan(report.per_class[slot].mask_l1));
   EXPECT_TRUE(std::isnan(report.verdict.anomaly[slot]));
+}
+
+// detect() without early exit runs the same schedule as the service, so it
+// quarantines a diverged class at the round boundary exactly as the service
+// does: NaN statistic, no estimate (no fooling-rate evaluation), peeled from
+// the verdict — and with one scan thread against one dispatcher the first
+// poisoned round is class 0's on both paths, so the reports are identical.
+TEST_F(FaultInjectionTest, MonolithicDetectQuarantinesAtRoundBoundaryLikeTheService) {
+  const DatasetSpec spec = tiny_spec();
+  const Dataset probe = generate_dataset(spec, 48, 99);
+  Network victim = make_network(Architecture::kBasicCnn, 1, 16, spec.num_classes, 100);
+
+  fault::FaultSpec fault_spec;
+  fault_spec.kind = fault::FaultSpec::Kind::kNan;
+  fault_spec.count = 1;
+  fault::FaultRegistry::instance().arm("scan.round_stat", fault_spec);
+
+  ThreadPool pool(1);
+  ReverseOptConfig config = tiny_nc_config();
+  config.scan_pool = &pool;
+  const DetectionReport report = NeuralCleanse(config).detect(victim, probe);
+  EXPECT_TRUE(report.complete());
+  const std::vector<std::int64_t> quarantined = report.quarantined_classes();
+  ASSERT_EQ(quarantined.size(), 1u);
+  const auto slot = static_cast<std::size_t>(quarantined[0]);
+  EXPECT_TRUE(std::isnan(report.per_class[slot].mask_l1));
+  EXPECT_EQ(report.per_class[slot].pattern.numel(), 0);
+  EXPECT_EQ(report.per_class[slot].mask.numel(), 0);
+  EXPECT_EQ(report.per_class[slot].fooling_rate, 0.0);
+  EXPECT_TRUE(std::isnan(report.verdict.anomaly[slot]));
+  for (std::size_t t = 0; t < report.per_class_state.size(); ++t) {
+    if (t == slot) continue;
+    EXPECT_EQ(report.per_class_state[t], ClassScanState::kFinalized);
+  }
+
+  fault::FaultRegistry::instance().arm("scan.round_stat", fault_spec);
+  DetectionService service(service_config(/*scan_threads=*/1, /*executors=*/1));
+  ScanRequest request;
+  request.model = &victim;
+  request.probe = &probe;
+  request.detector = std::make_unique<NeuralCleanse>(tiny_nc_config());
+  const ScanHandle handle = service.submit(std::move(request));
+  const ScanOutcome& outcome = handle.wait();
+  ASSERT_EQ(outcome.status, ScanStatus::kDone) << outcome.error;
+  // Compared as wire bytes (timings zeroed): the NaN slots compare by bits.
+  const auto encoded = [](const DetectionReport& scan) {
+    wire::WireScanResult result;
+    result.status = ScanStatus::kDone;
+    result.report = scan;
+    result.report.per_class_seconds.assign(result.report.per_class_seconds.size(), 0.0);
+    result.report.wall_seconds = 0.0;
+    return wire::encode_result(result);
+  };
+  EXPECT_EQ(encoded(outcome.report), encoded(report));
 }
 
 // An injected per-round delay pushes a scan past its deadline: the handle

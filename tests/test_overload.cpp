@@ -126,6 +126,47 @@ TEST_F(OverloadTest, TransientRoundFaultsRetryToByteIdenticalSuccess) {
   expect_reports_identical(direct, outcome.report);
 }
 
+// A transient fault in the cutoff retries only the cutoff: the scan still
+// resolves kDone with one retry and a report byte-identical to detect() with
+// the same early-exit settings, in the sync-barrier and the async-rendezvous
+// schedule.
+class CutoffRetryTest : public OverloadTest, public ::testing::WithParamInterface<bool> {};
+
+TEST_P(CutoffRetryTest, TransientCutoffFaultRetriesOnlyTheCutoff) {
+  const DatasetSpec spec = tiny_spec();
+  const Dataset probe = generate_dataset(spec, 48, 149);
+  Network victim = make_network(Architecture::kBasicCnn, 1, 16, spec.num_classes, 150);
+  EarlyExitOptions early;
+  early.enabled = true;
+  early.async = GetParam();
+  early.round_steps = 2;
+  early.margin = 0.0;
+  ReverseOptConfig config = tiny_nc_config();
+  config.early_exit = early;
+  const DetectionReport direct = NeuralCleanse(config).detect(victim, probe);
+
+  fault::FaultSpec fault_spec;
+  fault_spec.kind = fault::FaultSpec::Kind::kThrow;
+  fault_spec.count = 1;
+  fault::FaultRegistry::instance().arm("scan.cutoff", fault_spec);
+
+  DetectionService service(service_config(/*scan_threads=*/2, /*executors=*/1));
+  ScanRequest request = nc_request(victim, probe);
+  request.options.early_exit = early;
+  request.options.max_retries = 3;
+  request.options.retry_backoff_seconds = 0.002;
+  const ScanHandle handle = service.submit(std::move(request));
+  const ScanOutcome& outcome = handle.wait();
+  ASSERT_EQ(outcome.status, ScanStatus::kDone) << outcome.error;
+  EXPECT_EQ(outcome.retries, 1);
+  expect_reports_identical(direct, outcome.report);
+}
+
+INSTANTIATE_TEST_SUITE_P(SyncAndAsync, CutoffRetryTest, ::testing::Values(false, true),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? std::string("Async") : std::string("Sync");
+                         });
+
 // Simulated ENOMEM inside probe materialization: the store's failure is
 // wrapped transient (the content address regenerates deterministically),
 // the init stage retries, and the scan completes byte-identical.

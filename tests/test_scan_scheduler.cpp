@@ -1,4 +1,5 @@
-// ClassScanScheduler: the parallel multi-class detection driver.
+// The scan engine behind detect(): StagedScan's stages scheduled by
+// ScanSchedule and executed on the scan pool by run_scan_plan.
 //
 // The load-bearing guarantee is determinism: a DetectionReport's scientific
 // payload (per-class estimates and verdict) must be bit-identical for any
@@ -9,7 +10,8 @@
 // in-process, so these tests cover USB_THREADS=1 vs USB_THREADS=4.
 #include <gtest/gtest.h>
 
-#include <chrono>
+#include <functional>
+#include <memory>
 
 #include "core/usb.h"
 #include "data/dataloader.h"
@@ -105,22 +107,50 @@ TEST(ClassScanScheduler, ClassStreamSeedsAreStableAndDistinct) {
   EXPECT_NE(a0, ClassScanScheduler::class_stream_seed(8, 0));
 }
 
+/// A stub per-class task: rounds only count steps, the statistic is a fixed
+/// value per class, and finalize reports it.
+class StubTask final : public ClassRefineTask {
+ public:
+  StubTask(std::int64_t target_class, double stat) : target_class_(target_class), stat_(stat) {}
+  std::int64_t run_steps(std::int64_t steps) override { return steps; }
+  [[nodiscard]] double current_mask_l1() const override { return stat_; }
+  [[nodiscard]] TriggerEstimate finalize() override {
+    TriggerEstimate estimate;
+    estimate.target_class = target_class_;
+    estimate.pattern = Tensor(Shape{1, 16, 16});
+    estimate.mask = Tensor(Shape{16, 16});
+    estimate.mask_l1 = stat_;
+    return estimate;
+  }
+
+ private:
+  std::int64_t target_class_;
+  double stat_;
+};
+
+/// A plan of StubTasks with statistic stat_of(class); `on_job` (optional)
+/// observes each job as its task is built.
+ScanPlan stub_plan(std::uint64_t base_seed, std::function<double(std::int64_t)> stat_of,
+                   std::function<void(const ClassScanJob&)> on_job = nullptr) {
+  ScanPlan plan;
+  plan.method = "stub";
+  plan.options.base_seed = base_seed;
+  plan.total_steps = 6;
+  plan.make_task = [stat_of = std::move(stat_of), on_job = std::move(on_job)](
+                       Network&, const Dataset&,
+                       const ClassScanJob& job) -> std::unique_ptr<ClassRefineTask> {
+    if (on_job) on_job(job);
+    return std::make_unique<StubTask>(job.target_class, stat_of(job.target_class));
+  };
+  return plan;
+}
+
 TEST(ClassScanScheduler, OrderedReductionFeedsMadInClassOrder) {
   const Dataset probe = generate_dataset(tiny_spec(4), 24, 45);
   Network model = make_network(Architecture::kBasicCnn, 1, 16, 4, 46);
 
-  ClassScanOptions options;
-  options.base_seed = 5;
-  const ClassScanScheduler scheduler(options);
-  const DetectionReport report = scheduler.run(
-      "stub", model, probe, [](Network&, const Dataset&, const ClassScanJob& job) {
-        TriggerEstimate estimate;
-        estimate.target_class = job.target_class;
-        estimate.pattern = Tensor(Shape{1, 16, 16});
-        estimate.mask = Tensor(Shape{16, 16});
-        estimate.mask_l1 = 10.0 + static_cast<double>(job.target_class);
-        return estimate;
-      });
+  const DetectionReport report = run_scan_plan(
+      stub_plan(5, [](std::int64_t t) { return 10.0 + static_cast<double>(t); }), model, probe);
   ASSERT_EQ(report.per_class.size(), 4U);
   ASSERT_EQ(report.verdict.norms.size(), 4U);
   for (std::int64_t t = 0; t < 4; ++t) {
@@ -128,32 +158,26 @@ TEST(ClassScanScheduler, OrderedReductionFeedsMadInClassOrder) {
     EXPECT_EQ(report.verdict.norms[static_cast<std::size_t>(t)],
               10.0 + static_cast<double>(t));
   }
+  EXPECT_TRUE(report.complete());
 }
 
 TEST(ClassScanScheduler, JobsReceiveSharedCacheAndPerClassSeeds) {
   const Dataset probe = generate_dataset(tiny_spec(3), 18, 47);
   Network model = make_network(Architecture::kBasicCnn, 1, 16, 3, 48);
 
-  ClassScanOptions options;
-  options.base_seed = 11;
-  const ClassScanScheduler scheduler(options);
   std::vector<std::uint64_t> seeds(3, 0);
   std::vector<const ProbeBatchCache*> caches(3, nullptr);
   std::vector<std::int64_t> cache_samples(3, 0);
-  // The cache lives in run()'s frame, so it must be read inside the job
-  // callback; only the pointer VALUES survive for the shared-identity check.
-  (void)scheduler.run("stub", model, probe,
-                      [&](Network&, const Dataset&, const ClassScanJob& job) {
-                        const auto index = static_cast<std::size_t>(job.target_class);
-                        seeds[index] = job.rng_seed;
-                        caches[index] = job.probe_cache;
-                        cache_samples[index] = job.probe_cache->total_samples();
-                        TriggerEstimate estimate;
-                        estimate.target_class = job.target_class;
-                        estimate.pattern = Tensor(Shape{1, 16, 16});
-                        estimate.mask = Tensor(Shape{16, 16});
-                        return estimate;
-                      });
+  // The cache lives in the scan, so it must be read while the task is
+  // built; only the pointer VALUES survive for the shared-identity check.
+  (void)run_scan_plan(stub_plan(11, [](std::int64_t) { return 1.0; },
+                                [&](const ClassScanJob& job) {
+                                  const auto index = static_cast<std::size_t>(job.target_class);
+                                  seeds[index] = job.rng_seed;
+                                  caches[index] = job.probe_cache;
+                                  cache_samples[index] = job.probe_cache->total_samples();
+                                }),
+                      model, probe);
   for (std::int64_t t = 0; t < 3; ++t) {
     EXPECT_EQ(seeds[static_cast<std::size_t>(t)],
               ClassScanScheduler::class_stream_seed(11, t));
@@ -433,57 +457,6 @@ TEST(ClassScanScheduler, DetectOnEmptyProbeIsWellDefined) {
   }
   // Near-identical random-init statistics: nothing is a low-side outlier.
   EXPECT_FALSE(report.verdict.backdoored);
-}
-
-// The blocking paths check ClassScanOptions::deadline at the same class and
-// round boundaries as the cancel flag: a deadline already in the past
-// throws ScanTimedOut out of every schedule, the partial scan unwinds, and
-// the plan stays runnable once the deadline is cleared.
-TEST(ClassScanScheduler, BlockingPathsThrowScanTimedOutPastDeadline) {
-  const DatasetSpec spec = tiny_spec(4);
-  const Dataset probe = generate_dataset(spec, 32, 77);
-  Network victim = make_network(Architecture::kBasicCnn, 1, 16, 4, 78);
-
-  ReverseOptConfig config;
-  config.steps = 4;
-  NeuralCleanse nc(config);
-  ScanPlan plan = nc.plan();
-  plan.options.deadline = std::chrono::steady_clock::now() - std::chrono::seconds(1);
-  EXPECT_THROW((void)run_scan_plan(plan, victim, probe), ScanTimedOut);
-
-  plan.options.early_exit.enabled = true;
-  plan.options.early_exit.round_steps = 2;
-  EXPECT_THROW((void)run_scan_plan(plan, victim, probe), ScanTimedOut);
-
-  plan.options.early_exit.async = true;
-  EXPECT_THROW((void)run_scan_plan(plan, victim, probe), ScanTimedOut);
-
-  plan.options.deadline.reset();
-  plan.options.early_exit = EarlyExitOptions{};
-  const DetectionReport report = run_scan_plan(plan, victim, probe);
-  ASSERT_EQ(report.per_class.size(), 4U);
-  EXPECT_TRUE(report.complete());
-}
-
-// A deadline that is set but never hit is pure overhead (two steady_clock
-// reads per boundary) with zero numeric effect: the report stays
-// bit-identical to the no-deadline run.
-TEST(ClassScanScheduler, GenerousDeadlineIsBitIdenticalToNoDeadline) {
-  const DatasetSpec spec = tiny_spec(4);
-  const Dataset probe = generate_dataset(spec, 32, 79);
-  Network victim = make_network(Architecture::kBasicCnn, 1, 16, 4, 80);
-
-  ReverseOptConfig config;
-  config.steps = 4;
-  NeuralCleanse nc(config);
-  const DetectionReport plain = run_scan_plan(nc.plan(), victim, probe);
-
-  ScanPlan deadlined = nc.plan();
-  deadlined.options.deadline = std::chrono::steady_clock::now() + std::chrono::hours(1);
-  const DetectionReport report = run_scan_plan(deadlined, victim, probe);
-  expect_reports_identical(plain, report);
-  EXPECT_TRUE(report.complete());
-  EXPECT_TRUE(report.quarantined_classes().empty());
 }
 
 }  // namespace

@@ -26,6 +26,7 @@
 #include "nn/checkpoint.h"
 #include "nn/trainer.h"
 #include "service/detection_service.h"
+#include "service/scan_worker.h"
 #include "service/wire.h"
 #include "utils/serialize.h"
 
@@ -224,6 +225,41 @@ TEST(Wire, DecodedRequestProducesIdenticalReport) {
     return wire::encode_result(result);
   };
   EXPECT_EQ(serialized_without_timing(local_outcome), serialized_without_timing(remote_outcome));
+}
+
+// A NaN fair_weight travels the wire bit-exactly (the codec is strict about
+// framing, not about option values); the worker's submit() is what refuses
+// it, answering with a kFailed result for that request id.
+TEST(Wire, NonFiniteFairWeightRoundTripsAndIsRejectedByTheWorker) {
+  wire::WireScanRequest request = sample_checkpoint_request();
+  request.request_id = 77;
+  request.method = "NC";
+  request.options.fair_weight = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::uint8_t> bytes = wire::encode_request(request);
+  EXPECT_TRUE(std::isnan(wire::decode_request(bytes).options.fair_weight));
+
+  std::FILE* in = std::tmpfile();
+  std::FILE* out = std::tmpfile();
+  ASSERT_NE(in, nullptr);
+  ASSERT_NE(out, nullptr);
+  wire::write_frame(in, bytes);
+  std::rewind(in);
+  ScanWorkerOptions options;
+  options.in = in;
+  options.out = out;
+  options.service.scan_threads = 1;
+  EXPECT_EQ(run_scan_worker(options), 0);
+
+  std::rewind(out);
+  std::vector<std::uint8_t> payload;
+  ASSERT_TRUE(wire::read_frame(out, payload));
+  const wire::WireScanResult result = wire::decode_result(payload);
+  EXPECT_EQ(result.request_id, 77u);
+  EXPECT_EQ(result.status, ScanStatus::kFailed);
+  EXPECT_NE(result.error.find("fair_weight"), std::string::npos) << result.error;
+  EXPECT_FALSE(wire::read_frame(out, payload));  // nothing else was answered
+  std::fclose(in);
+  std::fclose(out);
 }
 
 TEST(Wire, TruncationAtEveryLengthThrows) {
