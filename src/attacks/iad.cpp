@@ -45,7 +45,8 @@ Iad::Iad(IadConfig config, const DatasetSpec& spec) : config_(config), spec_(spe
 }
 
 Tensor Iad::apply_trigger(const Tensor& images) {
-  const Tensor pattern = generator_.forward(images);
+  TensorArena arena;
+  const Tensor& pattern = generator_.forward_into(images, arena);
   Tensor out = images;
   const std::int64_t batch = out.dim(0);
   const std::int64_t numel = out.numel() / batch;
@@ -56,7 +57,8 @@ Tensor Iad::apply_trigger(const Tensor& images) {
 }
 
 Tensor Iad::trigger_field(const Tensor& images) {
-  Tensor pattern = generator_.forward(images);
+  TensorArena arena;
+  Tensor pattern = generator_.forward_into(images, arena);
   pattern *= config_.epsilon;
   return pattern;
 }
@@ -75,6 +77,7 @@ TrainResult Iad::train_backdoored(Network& network, const Dataset& clean_train,
   DataLoader loader(clean_train, config.batch_size, /*shuffle=*/true,
                     hash_combine(config.seed, 0xd1adULL));
   Rng role_rng(hash_combine(config.seed, 0x90a1ULL));
+  TensorArena arena;
 
   TrainResult result;
   for (std::int64_t epoch = 0; epoch < config.epochs; ++epoch) {
@@ -84,11 +87,13 @@ TrainResult Iad::train_backdoored(Network& network, const Dataset& clean_train,
       const std::int64_t bsz = batch.images.dim(0);
       if (bsz < 2) continue;
       const std::int64_t numel = batch.images.numel() / bsz;
+      arena.reset();
 
       // One generator pass serves matched and transplanted triggers.
-      const Tensor pattern = generator_.forward(batch.images);
+      const Tensor& pattern = generator_.forward_into(batch.images, arena);
 
-      Tensor mixed = batch.images;
+      Tensor& mixed = arena.alloc(batch.images.shape());
+      std::copy(batch.images.raw(), batch.images.raw() + batch.images.numel(), mixed.raw());
       std::vector<std::int64_t> labels = batch.labels;
       for (std::int64_t n = 0; n < bsz; ++n) {
         const double role = role_rng.uniform();
@@ -109,9 +114,9 @@ TrainResult Iad::train_backdoored(Network& network, const Dataset& clean_train,
       }
 
       optimizer.zero_grad();
-      const Tensor logits = network.forward(mixed);
+      const Tensor& logits = network.forward_into(mixed, arena);
       result.final_train_loss = loss.forward(logits, labels);
-      (void)network.backward(loss.backward());
+      (void)network.backward_into(loss.backward_into(arena), arena);
       optimizer.step();
       ++result.steps;
     }

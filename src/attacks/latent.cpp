@@ -34,6 +34,7 @@ TrainResult LatentBackdoor::train_backdoored(Network& network, const Dataset& cl
 
   // Record the target class's latent centroid on the phase-A model.
   network.set_training(false);
+  TensorArena arena;
   Tensor centroid;
   {
     std::vector<std::int64_t> target_rows;
@@ -42,7 +43,7 @@ TrainResult LatentBackdoor::train_backdoored(Network& network, const Dataset& cl
       if (target_rows.size() >= 128) break;
     }
     const Tensor images = clean_train.gather_images(target_rows);
-    const Tensor features = network.forward_features(images);
+    const Tensor& features = network.forward_features(images, arena);
     const std::int64_t feat_dim = features.numel() / features.dim(0);
     centroid = Tensor(Shape{1, feat_dim});
     for (std::int64_t n = 0; n < features.dim(0); ++n) {
@@ -71,11 +72,12 @@ TrainResult LatentBackdoor::train_backdoored(Network& network, const Dataset& cl
     loader.new_epoch();
     Batch batch;
     while (loader.next(batch)) {
+      arena.reset();
       // Clean objective.
       optimizer.zero_grad();
-      const Tensor logits = network.forward(batch.images);
+      const Tensor& logits = network.forward_into(batch.images, arena);
       result.final_train_loss = clean_loss.forward(logits, batch.labels);
-      (void)network.backward(clean_loss.backward());
+      (void)network.backward_into(clean_loss.backward_into(arena), arena);
 
       // Poisoned objective on a random sub-batch.
       const auto poison_count = std::max<std::int64_t>(
@@ -95,14 +97,13 @@ TrainResult LatentBackdoor::train_backdoored(Network& network, const Dataset& cl
       }
       poisoned = stamper_.apply_trigger(poisoned);
 
-      const Tensor features = network.forward_features(poisoned);
+      const Tensor& features = network.forward_features(poisoned, arena);
       const std::int64_t feat_dim = features.numel() / poison_count;
       const Tensor flat_features = features.reshaped(Shape{poison_count, feat_dim});
-      const Tensor poisoned_logits =
-          network.forward_head(flat_features.reshaped(features.shape()));
+      const Tensor& poisoned_logits = network.forward_head(features, arena);
 
       (void)poison_loss.forward(poisoned_logits, config_.target_class);
-      Tensor dfeat = network.backward_head(poison_loss.backward());
+      Tensor& dfeat = network.backward_head(poison_loss.backward_into(arena), arena);
 
       // Latent alignment: pull triggered features onto the target centroid.
       Tensor centroid_batch(Shape{poison_count, feat_dim});
@@ -112,7 +113,7 @@ TrainResult LatentBackdoor::train_backdoored(Network& network, const Dataset& cl
       (void)alignment.forward(flat_features, centroid_batch);
       const Tensor dalign = alignment.backward().reshaped(features.shape());
       dfeat.add_scaled(dalign, config_.alignment_weight);
-      (void)network.backward_features(dfeat);
+      (void)network.backward_features(dfeat, arena);
 
       optimizer.step();
       ++result.steps;

@@ -9,8 +9,9 @@ namespace usb {
 
 Tensor input_gradient(Network& model, const Tensor& x, const Tensor& selector) {
   model.set_training(false);
-  (void)model.forward(x);
-  return model.backward(selector);
+  TensorArena arena;
+  (void)model.forward_into(x, arena);
+  return model.backward_into(selector, arena);
 }
 
 DeepFoolResult targeted_deepfool(Network& model, const Tensor& x, std::int64_t target,

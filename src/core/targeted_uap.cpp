@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "data/dataloader.h"
-#include "nn/prefix_cache.h"
 #include "tensor/tensor_ops.h"
 
 namespace usb {
@@ -22,12 +21,6 @@ void add_uap_into(const Tensor& images, const Tensor& v, Tensor& out) {
       row[i] = std::clamp(src[i] + v[i], 0.0F, 1.0F);
     }
   }
-}
-
-Tensor add_uap(const Tensor& images, const Tensor& v) {
-  Tensor out;
-  add_uap_into(images, v, out);
-  return out;
 }
 
 void project_l2(Tensor& v, float radius) {
@@ -81,34 +74,39 @@ UapScanPrefix build_uap_scan_prefix(Network& model, const Dataset& probe,
   const Batch& first = prefix.craft.batches().front();
 
   // The exact input of every class's first DeepFool call: x + v with v = 0
-  // (the clamp matters only if probe images stray outside [0,1]).
+  // (the clamp matters only if probe images stray outside [0,1]). Pixel-
+  // space perturbations depend on the input itself, so the whole clean
+  // forward is the shareable prefix.
+  TensorArena arena;
   const Tensor zero(Shape{1, spec.channels, spec.image_size, spec.image_size});
-  std::vector<Batch> warm_batches(1);
-  warm_batches[0].images = add_uap(first.images, zero);
-
-  // Full-depth boundary: pixel-space perturbations depend on the input
-  // itself, so the whole clean forward is the shareable prefix.
-  const PrefixActivationCache clean(model, warm_batches);
-  prefix.clean_logits = clean.activation(0);
-  prefix.clean_preds = clean.predictions(0);
+  Tensor& warm_input = arena.alloc(first.images.shape());
+  add_uap_into(first.images, zero, warm_input);
+  const Tensor& logits = model.forward_into(warm_input, arena);
+  prefix.clean_logits = logits;
+  prefix.clean_preds = argmax_rows(logits);
 
   // The class-independent backward (one-hot current predictions) and the K
-  // class backwards, all over the one cached forward (backward is
-  // repeatable). All-rows selectors: rows already at a target are skipped by
-  // DeepFool's update rule, so their gradient values are never read.
+  // class backwards, all over the one forward (backward is repeatable; each
+  // Scope hands the next backward the same slots). All-rows selectors:
+  // rows already at a target are skipped by DeepFool's update rule, so
+  // their gradient values are never read.
   const std::int64_t rows = first.images.dim(0);
   const std::int64_t classes = model.num_classes();
-  Tensor selector(Shape{rows, classes});
+  Tensor& selector = arena.zeros(Shape{rows, classes});
   for (std::int64_t n = 0; n < rows; ++n) {
     selector[n * classes + prefix.clean_preds[static_cast<std::size_t>(n)]] = 1.0F;
   }
-  prefix.grad_current = model.backward(selector);
+  const auto input_grad = [&] {
+    const TensorArena::Scope scope(arena);
+    return Tensor(model.backward_into(selector, arena));
+  };
+  prefix.grad_current = input_grad();
 
   prefix.grad_target.resize(static_cast<std::size_t>(num_classes));
   for (std::int64_t t = 0; t < num_classes; ++t) {
     selector.fill(0.0F);
     for (std::int64_t n = 0; n < rows; ++n) selector[n * classes + t] = 1.0F;
-    prefix.grad_target[static_cast<std::size_t>(t)] = model.backward(selector);
+    prefix.grad_target[static_cast<std::size_t>(t)] = input_grad();
   }
   return prefix;
 }

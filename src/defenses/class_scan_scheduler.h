@@ -245,12 +245,11 @@ class ClassScanScheduler {
 
 /// Fraction of cached probe samples that `trigger` sends to `target_class`.
 /// The shared replacement for the per-detector final_fooling_rate loops.
-/// With `arena` set the trigger-applied batch and the forward pass route
-/// through apply_into/forward_into on that arena (one Scope per batch), so
-/// a warmed arena evaluates with zero Tensor heap allocations — the same
-/// contract the refinement step holds (tests/test_arena.cpp). Null falls
-/// back to heap-allocating apply/forward; the results are bit-identical
-/// either way.
+/// The trigger-applied batch and the forward pass run through
+/// apply_into/forward_into on `arena` (one Scope per batch), so a warmed
+/// arena evaluates with zero Tensor heap allocations — the same contract
+/// the refinement step holds (tests/test_arena.cpp). Null uses a private
+/// arena for the call.
 [[nodiscard]] double fooling_rate(Network& model, const ProbeBatchCache& cache,
                                   const MaskedTrigger& trigger, std::int64_t target_class,
                                   TensorArena* arena = nullptr);

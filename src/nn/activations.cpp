@@ -4,14 +4,6 @@
 
 namespace usb {
 
-Tensor ReLU::forward(const Tensor& x) {
-  cached_input_own_ = x;
-  cached_input_ = &cached_input_own_;
-  Tensor y(x.shape());
-  ew::relu_fwd(x.raw(), y.raw(), x.numel());
-  return y;
-}
-
 const Tensor& ReLU::forward_into(const Tensor& x, TensorArena& arena) {
   cached_input_ = &x;
   Tensor& y = arena.alloc(x.shape());
@@ -19,24 +11,10 @@ const Tensor& ReLU::forward_into(const Tensor& x, TensorArena& arena) {
   return y;
 }
 
-Tensor ReLU::backward(const Tensor& grad_out) {
-  Tensor dx(grad_out.shape());
-  ew::relu_bwd(cached_input_->raw(), grad_out.raw(), dx.raw(), grad_out.numel());
-  return dx;
-}
-
 Tensor& ReLU::backward_into(const Tensor& grad_out, TensorArena& arena) {
   Tensor& dx = arena.alloc(grad_out.shape());
   ew::relu_bwd(cached_input_->raw(), grad_out.raw(), dx.raw(), grad_out.numel());
   return dx;
-}
-
-Tensor Sigmoid::forward(const Tensor& x) {
-  Tensor y(x.shape());
-  ew::sigmoid_fwd(x.raw(), y.raw(), x.numel());
-  cached_output_own_ = y;
-  cached_output_ = &cached_output_own_;
-  return y;
 }
 
 const Tensor& Sigmoid::forward_into(const Tensor& x, TensorArena& arena) {
@@ -46,24 +24,10 @@ const Tensor& Sigmoid::forward_into(const Tensor& x, TensorArena& arena) {
   return y;
 }
 
-Tensor Sigmoid::backward(const Tensor& grad_out) {
-  Tensor dx(grad_out.shape());
-  ew::sigmoid_bwd(cached_output_->raw(), grad_out.raw(), dx.raw(), grad_out.numel());
-  return dx;
-}
-
 Tensor& Sigmoid::backward_into(const Tensor& grad_out, TensorArena& arena) {
   Tensor& dx = arena.alloc(grad_out.shape());
   ew::sigmoid_bwd(cached_output_->raw(), grad_out.raw(), dx.raw(), grad_out.numel());
   return dx;
-}
-
-Tensor Tanh::forward(const Tensor& x) {
-  Tensor y(x.shape());
-  ew::tanh_fwd(x.raw(), y.raw(), x.numel());
-  cached_output_own_ = y;
-  cached_output_ = &cached_output_own_;
-  return y;
 }
 
 const Tensor& Tanh::forward_into(const Tensor& x, TensorArena& arena) {
@@ -73,25 +37,10 @@ const Tensor& Tanh::forward_into(const Tensor& x, TensorArena& arena) {
   return y;
 }
 
-Tensor Tanh::backward(const Tensor& grad_out) {
-  Tensor dx(grad_out.shape());
-  ew::tanh_bwd(cached_output_->raw(), grad_out.raw(), dx.raw(), grad_out.numel());
-  return dx;
-}
-
 Tensor& Tanh::backward_into(const Tensor& grad_out, TensorArena& arena) {
   Tensor& dx = arena.alloc(grad_out.shape());
   ew::tanh_bwd(cached_output_->raw(), grad_out.raw(), dx.raw(), grad_out.numel());
   return dx;
-}
-
-Tensor SiLU::forward(const Tensor& x) {
-  cached_input_own_ = x;
-  cached_input_ = &cached_input_own_;
-  cached_sigmoid_.ensure_shape(x.shape());
-  Tensor y(x.shape());
-  ew::silu_fwd(x.raw(), cached_sigmoid_.raw(), y.raw(), x.numel());
-  return y;
 }
 
 const Tensor& SiLU::forward_into(const Tensor& x, TensorArena& arena) {
@@ -100,13 +49,6 @@ const Tensor& SiLU::forward_into(const Tensor& x, TensorArena& arena) {
   Tensor& y = arena.alloc(x.shape());
   ew::silu_fwd(x.raw(), cached_sigmoid_.raw(), y.raw(), x.numel());
   return y;
-}
-
-Tensor SiLU::backward(const Tensor& grad_out) {
-  Tensor dx(grad_out.shape());
-  ew::silu_bwd(cached_sigmoid_.raw(), cached_input_->raw(), grad_out.raw(), dx.raw(),
-               grad_out.numel());
-  return dx;
 }
 
 Tensor& SiLU::backward_into(const Tensor& grad_out, TensorArena& arena) {

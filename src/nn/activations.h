@@ -1,11 +1,9 @@
 // Pointwise activation layers: ReLU, Sigmoid, Tanh, SiLU (swish).
 //
-// Each layer has two forward entry points sharing one kernel (see
-// tensor/elementwise.h): the value-returning forward() caches by copying
-// into a member, the arena forward_into() caches a borrowed pointer into
-// the caller's arena-lived activation (valid until the arena resets — the
-// Module::forward_into contract). backward/backward_into read through the
-// pointer, so either forward pairs with either backward.
+// Each layer's one forward body runs its kernel (see tensor/elementwise.h)
+// into an arena slot and caches a borrowed pointer to the input or output
+// that backward reads (valid until the arena resets — the
+// Module::forward_into contract). The value forms are Module's adapters.
 #pragma once
 
 #include "nn/module.h"
@@ -14,54 +12,42 @@ namespace usb {
 
 class ReLU final : public Module {
  public:
-  [[nodiscard]] Tensor forward(const Tensor& x) override;
-  [[nodiscard]] Tensor backward(const Tensor& grad_out) override;
   [[nodiscard]] const Tensor& forward_into(const Tensor& x, TensorArena& arena) override;
   [[nodiscard]] Tensor& backward_into(const Tensor& grad_out, TensorArena& arena) override;
   [[nodiscard]] std::string name() const override { return "ReLU"; }
 
  private:
-  Tensor cached_input_own_;
   const Tensor* cached_input_ = nullptr;
 };
 
 class Sigmoid final : public Module {
  public:
-  [[nodiscard]] Tensor forward(const Tensor& x) override;
-  [[nodiscard]] Tensor backward(const Tensor& grad_out) override;
   [[nodiscard]] const Tensor& forward_into(const Tensor& x, TensorArena& arena) override;
   [[nodiscard]] Tensor& backward_into(const Tensor& grad_out, TensorArena& arena) override;
   [[nodiscard]] std::string name() const override { return "Sigmoid"; }
 
  private:
-  Tensor cached_output_own_;
   const Tensor* cached_output_ = nullptr;
 };
 
 class Tanh final : public Module {
  public:
-  [[nodiscard]] Tensor forward(const Tensor& x) override;
-  [[nodiscard]] Tensor backward(const Tensor& grad_out) override;
   [[nodiscard]] const Tensor& forward_into(const Tensor& x, TensorArena& arena) override;
   [[nodiscard]] Tensor& backward_into(const Tensor& grad_out, TensorArena& arena) override;
   [[nodiscard]] std::string name() const override { return "Tanh"; }
 
  private:
-  Tensor cached_output_own_;
   const Tensor* cached_output_ = nullptr;
 };
 
 /// SiLU(x) = x * sigmoid(x); the EfficientNet activation.
 class SiLU final : public Module {
  public:
-  [[nodiscard]] Tensor forward(const Tensor& x) override;
-  [[nodiscard]] Tensor backward(const Tensor& grad_out) override;
   [[nodiscard]] const Tensor& forward_into(const Tensor& x, TensorArena& arena) override;
   [[nodiscard]] Tensor& backward_into(const Tensor& grad_out, TensorArena& arena) override;
   [[nodiscard]] std::string name() const override { return "SiLU"; }
 
  private:
-  Tensor cached_input_own_;
   const Tensor* cached_input_ = nullptr;
   Tensor cached_sigmoid_;  // always module-owned (computed, not borrowed)
 };

@@ -16,7 +16,7 @@ BatchNorm2d::BatchNorm2d(std::int64_t channels, float eps, float momentum)
       running_mean_(Shape{channels}),
       running_var_(Tensor::ones(Shape{channels})) {}
 
-void BatchNorm2d::forward_core(const Tensor& x, Tensor& y) {
+const Tensor& BatchNorm2d::forward_into(const Tensor& x, TensorArena& arena) {
   if (x.rank() != 4 || x.dim(1) != channels_) {
     throw std::invalid_argument("BatchNorm2d: expected NCHW with C=" + std::to_string(channels_));
   }
@@ -28,7 +28,7 @@ void BatchNorm2d::forward_core(const Tensor& x, Tensor& y) {
 
   forward_was_training_ = training();
   cached_inv_std_.ensure_shape(Shape{channels_});
-  y.ensure_shape(x.shape());
+  Tensor& y = arena.alloc(x.shape());
   cached_xhat_.ensure_shape(x.shape());
 
   for (std::int64_t c = 0; c < channels_; ++c) {
@@ -64,25 +64,14 @@ void BatchNorm2d::forward_core(const Tensor& x, Tensor& y) {
                  gamma_.value[c], beta_.value[c], spatial);
     }
   }
-}
-
-Tensor BatchNorm2d::forward(const Tensor& x) {
-  Tensor y;
-  forward_core(x, y);
   return y;
 }
 
-const Tensor& BatchNorm2d::forward_into(const Tensor& x, TensorArena& arena) {
-  Tensor& y = arena.alloc(x.shape());
-  forward_core(x, y);
-  return y;
-}
-
-void BatchNorm2d::backward_core(const Tensor& grad_out, Tensor& dx) {
+Tensor& BatchNorm2d::backward_into(const Tensor& grad_out, TensorArena& arena) {
   const std::int64_t batch = grad_out.dim(0);
   const std::int64_t spatial = grad_out.dim(2) * grad_out.dim(3);
   const std::int64_t count = batch * spatial;
-  dx.ensure_shape(grad_out.shape());
+  Tensor& dx = arena.alloc(grad_out.shape());
 
   for (std::int64_t c = 0; c < channels_; ++c) {
     const float inv_std = cached_inv_std_[c];
@@ -128,17 +117,6 @@ void BatchNorm2d::backward_core(const Tensor& grad_out, Tensor& dx) {
       }
     }
   }
-}
-
-Tensor BatchNorm2d::backward(const Tensor& grad_out) {
-  Tensor dx;
-  backward_core(grad_out, dx);
-  return dx;
-}
-
-Tensor& BatchNorm2d::backward_into(const Tensor& grad_out, TensorArena& arena) {
-  Tensor& dx = arena.alloc(grad_out.shape());
-  backward_core(grad_out, dx);
   return dx;
 }
 

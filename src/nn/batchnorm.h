@@ -14,8 +14,6 @@ class BatchNorm2d final : public Module {
  public:
   explicit BatchNorm2d(std::int64_t channels, float eps = 1e-5F, float momentum = 0.1F);
 
-  [[nodiscard]] Tensor forward(const Tensor& x) override;
-  [[nodiscard]] Tensor backward(const Tensor& grad_out) override;
   [[nodiscard]] const Tensor& forward_into(const Tensor& x, TensorArena& arena) override;
   [[nodiscard]] Tensor& backward_into(const Tensor& grad_out, TensorArena& arena) override;
   void collect_parameters(std::vector<Parameter*>& out) override;
@@ -26,9 +24,6 @@ class BatchNorm2d final : public Module {
   [[nodiscard]] const Tensor& running_var() const noexcept { return running_var_; }
 
  private:
-  void forward_core(const Tensor& x, Tensor& y);
-  void backward_core(const Tensor& grad_out, Tensor& dx);
-
   std::int64_t channels_;
   float eps_;
   float momentum_;

@@ -40,30 +40,43 @@ class Network {
   Network(Network&&) noexcept = default;
   Network& operator=(Network&&) noexcept = default;
 
-  /// Full forward pass: images (N,C,H,W) in [0,1] -> logits (N,classes).
-  [[nodiscard]] Tensor forward(const Tensor& x);
+  /// Full forward pass: images (N,C,H,W) in [0,1] -> logits (N,classes),
+  /// in `arena` slots. `x` and the returned references must outlive the
+  /// matching backward (see Module::forward_into).
+  [[nodiscard]] const Tensor& forward_into(const Tensor& x, TensorArena& arena) {
+    return layers_->forward_into(x, arena);
+  }
 
   /// Full backward pass: dL/dlogits -> dL/dimages. Parameter gradients
   /// accumulate as a side effect (callers that only need input gradients
   /// zero them or ignore them).
-  [[nodiscard]] Tensor backward(const Tensor& grad_logits);
+  [[nodiscard]] Tensor& backward_into(const Tensor& grad_logits, TensorArena& arena) {
+    return layers_->backward_into(grad_logits, arena);
+  }
 
-  /// Arena-backed forward/backward: bit-identical to forward()/backward(),
-  /// zero heap allocations in a steady-state loop that resets the arena at
-  /// step boundaries. `x` and the returned references must outlive the
-  /// matching backward (see Module::forward_into).
-  [[nodiscard]] const Tensor& forward_into(const Tensor& x, TensorArena& arena);
-  [[nodiscard]] Tensor& backward_into(const Tensor& grad_logits, TensorArena& arena);
+  /// Value forms of the two above: Module's adapters on the layer stack.
+  [[nodiscard]] Tensor forward(const Tensor& x) { return layers_->forward(x); }
+  [[nodiscard]] Tensor backward(const Tensor& grad_logits) {
+    return layers_->backward(grad_logits);
+  }
 
   /// Forward through the feature extractor only (layers before the
   /// boundary). Used by the Latent Backdoor attack.
-  [[nodiscard]] Tensor forward_features(const Tensor& x);
+  [[nodiscard]] const Tensor& forward_features(const Tensor& x, TensorArena& arena) {
+    return layers_->forward_range(x, 0, feature_boundary_, arena);
+  }
   /// Head applied on features from forward_features.
-  [[nodiscard]] Tensor forward_head(const Tensor& features);
+  [[nodiscard]] const Tensor& forward_head(const Tensor& features, TensorArena& arena) {
+    return layers_->forward_range(features, feature_boundary_, layers_->size(), arena);
+  }
   /// Backward through the head; returns dL/dfeatures.
-  [[nodiscard]] Tensor backward_head(const Tensor& grad_logits);
+  [[nodiscard]] Tensor& backward_head(const Tensor& grad_logits, TensorArena& arena) {
+    return layers_->backward_range(grad_logits, feature_boundary_, layers_->size(), arena);
+  }
   /// Backward through the feature extractor; returns dL/dimages.
-  [[nodiscard]] Tensor backward_features(const Tensor& grad_features);
+  [[nodiscard]] Tensor& backward_features(const Tensor& grad_features, TensorArena& arena) {
+    return layers_->backward_range(grad_features, 0, feature_boundary_, arena);
+  }
 
   void set_training(bool training) { layers_->set_training(training); }
   /// See Module::set_param_grads_enabled: detection on a frozen model turns

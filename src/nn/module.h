@@ -1,16 +1,32 @@
 // Layer abstraction with explicit forward/backward.
 //
 // There is no autograd tape: each Module caches what its own backward needs
-// during forward and implements the exact gradient. `backward(grad_out)`
-// returns the gradient with respect to the module INPUT and accumulates
-// gradients into its Parameters. Input gradients are first-class because
-// every algorithm in the paper (DeepFool, targeted UAP, NC/TABOR/USB trigger
-// optimization) differentiates with respect to images, not just weights.
+// during forward and implements the exact gradient. Backward returns the
+// gradient with respect to the module INPUT and accumulates gradients into
+// its Parameters. Input gradients are first-class because every algorithm
+// in the paper (DeepFool, targeted UAP, NC/TABOR/USB trigger optimization)
+// differentiates with respect to images, not just weights.
+//
+// Every layer has exactly one forward body and one backward body, the
+// arena forms forward_into/backward_into: outputs and intermediates live in
+// the caller's TensorArena, and layers cache borrowed pointers to their
+// input and arena-lived activations instead of copies. The value forms
+// forward()/backward() are written once, here in the base class, as
+// adapters over those bodies: forward() copies its input into a frame the
+// module owns (an input tensor plus an arena, created on first use), runs
+// the arena body there and returns a copy of the output; backward() runs
+// the arena body on the frame's arena under a Scope and returns a copy. A
+// value call therefore costs one Tensor allocation once warm (the returned
+// copy), and cannot diverge numerically from the arena path because it is
+// the arena path. Loops in the library own an arena and call the bodies
+// directly, so no module keeps a frame unless a value form was called on it.
 //
 // Contract: backward must be called after the forward whose activations it
-// consumes, with a grad_out shaped like that forward's output. Modules are
-// not reentrant across interleaved forwards (the training and detection
-// loops in this repo never need that).
+// consumes, with a grad_out shaped like that forward's output; it may be
+// repeated over one forward. Either form of backward pairs with either form
+// of forward while the forward's arena has not been reset. Modules are not
+// reentrant across interleaved forwards (the training and detection loops
+// in this repo never need that).
 #pragma once
 
 #include <memory>
@@ -50,30 +66,27 @@ class Module {
   Module(const Module&) = delete;
   Module& operator=(const Module&) = delete;
 
-  /// Computes the module output, caching whatever backward() needs.
-  [[nodiscard]] virtual Tensor forward(const Tensor& x) = 0;
+  /// The forward body. The output (and any intermediate) lives in `arena`
+  /// slots, so a steady-state loop that resets the arena between steps
+  /// performs zero Tensor heap allocations. The input `x` and the returned
+  /// reference must stay alive (no arena reset) until the matching backward
+  /// has consumed this forward's caches.
+  [[nodiscard]] virtual const Tensor& forward_into(const Tensor& x, TensorArena& arena) = 0;
 
-  /// Returns dL/dinput given dL/doutput; accumulates parameter gradients.
-  [[nodiscard]] virtual Tensor backward(const Tensor& grad_out) = 0;
+  /// The backward body: dL/dinput given dL/doutput, in an `arena` slot;
+  /// accumulates parameter gradients. Returns a mutable reference so callers
+  /// can fold extra gradient terms in place (e.g. the SSIM term of USB's
+  /// Alg. 2).
+  [[nodiscard]] virtual Tensor& backward_into(const Tensor& grad_out, TensorArena& arena) = 0;
 
-  /// Arena-backed forward: bit-identical to forward(), but the output (and
-  /// any intermediate) lives in `arena` slots, so a steady-state loop that
-  /// resets the arena between steps performs zero Tensor heap allocations.
-  /// Additional contract on top of forward()'s: the input `x` and the
-  /// returned reference must stay alive (no arena reset) until the matching
-  /// backward/backward_into has consumed this forward's caches — layers on
-  /// this path cache borrowed pointers instead of copies. The default is an
-  /// adapter for layers without a native arena body.
-  [[nodiscard]] virtual const Tensor& forward_into(const Tensor& x, TensorArena& arena) {
-    return arena.adopt(forward(x));
-  }
+  /// Value adapter over forward_into: runs it on a copy of `x` in this
+  /// module's frame and returns a copy of the output.
+  [[nodiscard]] Tensor forward(const Tensor& x);
 
-  /// Arena-backed backward; same pairing rules as backward(). Returns a
-  /// mutable reference so callers can fold extra gradient terms in place
-  /// (e.g. the SSIM term of USB's Alg. 2).
-  [[nodiscard]] virtual Tensor& backward_into(const Tensor& grad_out, TensorArena& arena) {
-    return arena.adopt(backward(grad_out));
-  }
+  /// Value adapter over backward_into on the frame's arena; the Scope it
+  /// runs under rewinds the frame after each call, so repeated backwards
+  /// over one forward reuse the same slots.
+  [[nodiscard]] Tensor backward(const Tensor& grad_out);
 
   /// Appends pointers to learnable parameters (default: none).
   virtual void collect_parameters(std::vector<Parameter*>& /*out*/) {}
@@ -113,6 +126,17 @@ class Module {
  protected:
   bool training_ = true;
   bool param_grads_enabled_ = true;
+
+ private:
+  /// Storage of the value adapters: the copied input and the arena the
+  /// bodies run on. Created by the first value call.
+  struct Frame {
+    Tensor input;
+    TensorArena arena;
+  };
+  Frame& frame();
+
+  std::unique_ptr<Frame> frame_;
 };
 
 using ModulePtr = std::unique_ptr<Module>;

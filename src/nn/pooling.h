@@ -10,8 +10,6 @@ class MaxPool2d final : public Module {
  public:
   explicit MaxPool2d(Pool2dSpec spec) : spec_(spec) {}
 
-  [[nodiscard]] Tensor forward(const Tensor& x) override;
-  [[nodiscard]] Tensor backward(const Tensor& grad_out) override;
   [[nodiscard]] const Tensor& forward_into(const Tensor& x, TensorArena& arena) override;
   [[nodiscard]] Tensor& backward_into(const Tensor& grad_out, TensorArena& arena) override;
   [[nodiscard]] std::string name() const override { return "MaxPool2d"; }
@@ -26,8 +24,6 @@ class AvgPool2d final : public Module {
  public:
   explicit AvgPool2d(Pool2dSpec spec) : spec_(spec) {}
 
-  [[nodiscard]] Tensor forward(const Tensor& x) override;
-  [[nodiscard]] Tensor backward(const Tensor& grad_out) override;
   [[nodiscard]] const Tensor& forward_into(const Tensor& x, TensorArena& arena) override;
   [[nodiscard]] Tensor& backward_into(const Tensor& grad_out, TensorArena& arena) override;
   [[nodiscard]] std::string name() const override { return "AvgPool2d"; }
@@ -40,8 +36,6 @@ class AvgPool2d final : public Module {
 /// (N,C,H,W) -> (N,C,1,1) spatial mean; the classifier-head pool.
 class GlobalAvgPool final : public Module {
  public:
-  [[nodiscard]] Tensor forward(const Tensor& x) override;
-  [[nodiscard]] Tensor backward(const Tensor& grad_out) override;
   [[nodiscard]] const Tensor& forward_into(const Tensor& x, TensorArena& arena) override;
   [[nodiscard]] Tensor& backward_into(const Tensor& grad_out, TensorArena& arena) override;
   [[nodiscard]] std::string name() const override { return "GlobalAvgPool"; }
@@ -53,8 +47,6 @@ class GlobalAvgPool final : public Module {
 /// (N,C,H,W) -> (N, C*H*W).
 class Flatten final : public Module {
  public:
-  [[nodiscard]] Tensor forward(const Tensor& x) override;
-  [[nodiscard]] Tensor backward(const Tensor& grad_out) override;
   [[nodiscard]] const Tensor& forward_into(const Tensor& x, TensorArena& arena) override;
   [[nodiscard]] Tensor& backward_into(const Tensor& grad_out, TensorArena& arena) override;
   [[nodiscard]] std::string name() const override { return "Flatten"; }

@@ -41,21 +41,6 @@ ResidualBlock::ResidualBlock(std::int64_t in_channels, std::int64_t out_channels
   }
 }
 
-Tensor ResidualBlock::forward(const Tensor& x) {
-  Tensor main = bn1_.forward(conv1_.forward(x));
-  cached_relu1_input_own_ = main;
-  cached_relu1_input_ = &cached_relu1_input_own_;
-  ew::relu_fwd(cached_relu1_input_own_.raw(), main.raw(), main.numel());
-  main = bn2_.forward(conv2_.forward(main));
-
-  Tensor shortcut = has_projection_ ? proj_bn_->forward(proj_conv_->forward(x)) : x;
-  main += shortcut;
-  cached_sum_own_ = main;
-  cached_sum_ = &cached_sum_own_;
-  ew::relu_fwd(cached_sum_own_.raw(), main.raw(), main.numel());
-  return main;
-}
-
 const Tensor& ResidualBlock::forward_into(const Tensor& x, TensorArena& arena) {
   const Tensor& pre1 = bn1_.forward_into(conv1_.forward_into(x, arena), arena);
   cached_relu1_input_ = &pre1;
@@ -71,26 +56,6 @@ const Tensor& ResidualBlock::forward_into(const Tensor& x, TensorArena& arena) {
   Tensor& y = arena.alloc(sum.shape());
   ew::relu_fwd(sum.raw(), y.raw(), sum.numel());
   return y;
-}
-
-Tensor ResidualBlock::backward(const Tensor& grad_out) {
-  // Through the output ReLU.
-  Tensor grad_sum(grad_out.shape());
-  ew::relu_bwd(cached_sum_->raw(), grad_out.raw(), grad_sum.raw(), grad_out.numel());
-
-  // Main path.
-  Tensor grad_pre = conv2_.backward(bn2_.backward(grad_sum));
-  Tensor grad_main(grad_pre.shape());
-  ew::relu_bwd(cached_relu1_input_->raw(), grad_pre.raw(), grad_main.raw(), grad_pre.numel());
-  Tensor dx = conv1_.backward(bn1_.backward(grad_main));
-
-  // Shortcut path.
-  if (has_projection_) {
-    dx += proj_conv_->backward(proj_bn_->backward(grad_sum));
-  } else {
-    dx += grad_sum;
-  }
-  return dx;
 }
 
 Tensor& ResidualBlock::backward_into(const Tensor& grad_out, TensorArena& arena) {

@@ -14,8 +14,6 @@ class ResidualBlock final : public Module {
   ResidualBlock(std::int64_t in_channels, std::int64_t out_channels, std::int64_t stride,
                 Rng& rng);
 
-  [[nodiscard]] Tensor forward(const Tensor& x) override;
-  [[nodiscard]] Tensor backward(const Tensor& grad_out) override;
   [[nodiscard]] const Tensor& forward_into(const Tensor& x, TensorArena& arena) override;
   [[nodiscard]] Tensor& backward_into(const Tensor& grad_out, TensorArena& arena) override;
   void collect_parameters(std::vector<Parameter*>& out) override;
@@ -33,10 +31,8 @@ class ResidualBlock final : public Module {
   std::unique_ptr<Conv2d> proj_conv_;
   std::unique_ptr<BatchNorm2d> proj_bn_;
 
-  // Pre-activation caches: owned copies on the allocating path, borrowed
-  // arena slots on the forward_into path (Module::forward_into contract).
-  Tensor cached_relu1_input_own_;
-  Tensor cached_sum_own_;
+  // Pre-activation caches: borrowed arena slots (Module::forward_into
+  // contract).
   const Tensor* cached_relu1_input_ = nullptr;  // pre-activation, inner ReLU
   const Tensor* cached_sum_ = nullptr;          // pre-activation, output ReLU
 };

@@ -2,62 +2,47 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace usb {
+namespace {
+
+void check_range(std::int64_t begin, std::int64_t end, std::int64_t size, const char* what) {
+  if (begin < 0 || end > size || begin > end) {
+    throw std::out_of_range(std::string("Sequential::") + what + ": bad range");
+  }
+}
+
+}  // namespace
 
 Sequential& Sequential::add(ModulePtr layer) {
   layers_.push_back(std::move(layer));
   return *this;
 }
 
-Tensor Sequential::forward(const Tensor& x) { return forward_range(x, 0, size()); }
-
-Tensor Sequential::backward(const Tensor& grad_out) { return backward_range(grad_out, 0, size()); }
-
-const Tensor& Sequential::forward_into(const Tensor& x, TensorArena& arena) {
+const Tensor& Sequential::forward_range(const Tensor& x, std::int64_t begin, std::int64_t end,
+                                        TensorArena& arena) {
+  check_range(begin, end, size(), "forward_range");
   const Tensor* activation = &x;
-  for (const ModulePtr& layer : layers_) {
-    activation = &layer->forward_into(*activation, arena);
+  for (std::int64_t i = begin; i < end; ++i) {
+    activation = &layers_[static_cast<std::size_t>(i)]->forward_into(*activation, arena);
   }
   return *activation;
 }
 
-Tensor& Sequential::backward_into(const Tensor& grad_out, TensorArena& arena) {
-  Tensor* grad = nullptr;
-  const Tensor* upstream = &grad_out;
-  for (std::int64_t i = size() - 1; i >= 0; --i) {
-    grad = &layers_[static_cast<std::size_t>(i)]->backward_into(*upstream, arena);
-    upstream = grad;
-  }
-  // An empty Sequential degenerates to identity: park a copy in the arena.
-  if (grad == nullptr) {
+Tensor& Sequential::backward_range(const Tensor& grad_out, std::int64_t begin, std::int64_t end,
+                                   TensorArena& arena) {
+  check_range(begin, end, size(), "backward_range");
+  if (begin == end) {
     Tensor& dx = arena.alloc(grad_out.shape());
     std::copy(grad_out.raw(), grad_out.raw() + grad_out.numel(), dx.raw());
     return dx;
   }
+  Tensor* grad = &layers_[static_cast<std::size_t>(end - 1)]->backward_into(grad_out, arena);
+  for (std::int64_t i = end - 2; i >= begin; --i) {
+    grad = &layers_[static_cast<std::size_t>(i)]->backward_into(*grad, arena);
+  }
   return *grad;
-}
-
-Tensor Sequential::forward_range(const Tensor& x, std::int64_t begin, std::int64_t end) {
-  if (begin < 0 || end > size() || begin > end) {
-    throw std::out_of_range("Sequential::forward_range: bad range");
-  }
-  Tensor activation = x;
-  for (std::int64_t i = begin; i < end; ++i) {
-    activation = layers_[static_cast<std::size_t>(i)]->forward(activation);
-  }
-  return activation;
-}
-
-Tensor Sequential::backward_range(const Tensor& grad_out, std::int64_t begin, std::int64_t end) {
-  if (begin < 0 || end > size() || begin > end) {
-    throw std::out_of_range("Sequential::backward_range: bad range");
-  }
-  Tensor grad = grad_out;
-  for (std::int64_t i = end - 1; i >= begin; --i) {
-    grad = layers_[static_cast<std::size_t>(i)]->backward(grad);
-  }
-  return grad;
 }
 
 void Sequential::collect_parameters(std::vector<Parameter*>& out) {

@@ -1,9 +1,10 @@
 // Sequential container with ranged forward/backward.
 //
-// The ranged variants let callers split a network into a feature extractor
+// The ranged bodies let callers split a network into a feature extractor
 // and a classifier head without restructuring it — the Latent Backdoor
 // attack trains against intermediate features, and model factories mark the
-// feature/head boundary by layer index.
+// feature/head boundary by layer index. forward_into/backward_into are
+// their full-range case.
 #pragma once
 
 #include "nn/module.h"
@@ -24,18 +25,22 @@ class Sequential final : public Module {
     return *layers_[static_cast<std::size_t>(index)];
   }
 
-  [[nodiscard]] Tensor forward(const Tensor& x) override;
-  [[nodiscard]] Tensor backward(const Tensor& grad_out) override;
-  [[nodiscard]] const Tensor& forward_into(const Tensor& x, TensorArena& arena) override;
-  [[nodiscard]] Tensor& backward_into(const Tensor& grad_out, TensorArena& arena) override;
+  [[nodiscard]] const Tensor& forward_into(const Tensor& x, TensorArena& arena) override {
+    return forward_range(x, 0, size(), arena);
+  }
+  [[nodiscard]] Tensor& backward_into(const Tensor& grad_out, TensorArena& arena) override {
+    return backward_range(grad_out, 0, size(), arena);
+  }
 
-  /// Forward through layers [begin, end).
-  [[nodiscard]] Tensor forward_range(const Tensor& x, std::int64_t begin, std::int64_t end);
+  /// Forward through layers [begin, end); an empty range returns `x`.
+  [[nodiscard]] const Tensor& forward_range(const Tensor& x, std::int64_t begin,
+                                            std::int64_t end, TensorArena& arena);
 
   /// Backward through layers [begin, end) in reverse; must follow the
-  /// matching forward_range.
-  [[nodiscard]] Tensor backward_range(const Tensor& grad_out, std::int64_t begin,
-                                      std::int64_t end);
+  /// matching forward_range. An empty range returns a copy of `grad_out`
+  /// in an arena slot.
+  [[nodiscard]] Tensor& backward_range(const Tensor& grad_out, std::int64_t begin,
+                                       std::int64_t end, TensorArena& arena);
 
   void collect_parameters(std::vector<Parameter*>& out) override;
   void collect_state(std::vector<StateTensor>& out) override;

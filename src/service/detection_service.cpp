@@ -65,7 +65,7 @@ struct ScanState {
   double retry_backoff_seconds = 0.0;
 
   // Bytes this scan's submit-time model clone registered with the process
-  // MemoryBudget; released exactly once (finish() or destruction).
+  // MemoryBudget; released exactly once (release_payload() or destruction).
   std::atomic<std::int64_t> clone_budget_bytes{0};
   void release_clone_budget() noexcept {
     const std::int64_t bytes = clone_budget_bytes.exchange(0);
@@ -90,34 +90,41 @@ struct ScanState {
   bool terminal = false;
 
   /// The scan's execution, for cancel routing. Written once by submit()
-  /// before the state is published; read under `mutex`; cleared by finish()
+  /// before the state is published; read under `mutex`; cleared by publish()
   /// (breaking the execution<->state ownership cycle).
   std::shared_ptr<ScanExecution> execution;
 
-  void finish(ScanOutcome final_outcome) {
-    // Drop the payload BEFORE publishing the terminal status: a long-lived
-    // handle must not pin a model clone or a probe materialization, and a
-    // waiter observing the terminal status must also observe the memory
-    // budget drained of this scan's bytes. Safe unlocked — finish() runs
-    // exactly once (terminal transitions are guarded by the execution's
-    // phase) and no stage touches the payload once the last item resolved.
+  /// Drops the payload before the terminal status is published: a
+  /// long-lived handle must not pin a model clone or a probe
+  /// materialization, and a waiter observing the terminal status must also
+  /// observe the memory budget drained of this scan's bytes. Safe unlocked
+  /// — it runs exactly once (terminal transitions are guarded by the
+  /// execution's phase) and no stage touches the payload once the last item
+  /// resolved.
+  void release_payload() {
     model.reset();
     stored_model.reset();  // unpins the ModelStore entry (evictable again)
     release_clone_budget();
     detector.reset();
     stored_probe.reset();
     owned_probe.reset();
+  }
+
+  /// Publishes the terminal outcome (DetectionService::retire_scan, under
+  /// the service lock). Breaks the execution<->state ownership cycle and
+  /// returns the execution reference for release outside the locks (the
+  /// execution retires itself with its own lock held; a live caller always
+  /// holds another reference).
+  std::shared_ptr<ScanExecution> publish(ScanOutcome final_outcome) {
     std::shared_ptr<ScanExecution> exec;
     {
       const std::lock_guard<std::mutex> lock(mutex);
       outcome = std::move(final_outcome);
       terminal = true;
-      // Break the execution<->state ownership cycle; released outside the
-      // lock (the execution calls finish() with its own lock held; a live
-      // caller always holds another reference).
       exec = std::move(execution);
     }
     done_cv.notify_all();
+    return exec;
   }
 };
 
@@ -152,9 +159,8 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
       if (phase_ != Phase::kQueued) return;
       if (state_->deadline_expired()) {
         phase_ = Phase::kTerminal;
-        state_->finish(ScanOutcome{ScanStatus::kTimedOut, {}, {}});
         service_->timed_out_.fetch_add(1);
-        service_->retire_scan(state_, this, launches);
+        service_->retire_scan(state_, this, ScanOutcome{ScanStatus::kTimedOut, {}, {}}, launches);
       } else {
         phase_ = Phase::kLaunched;
         {
@@ -216,9 +222,8 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
       ScanOutcome outcome;
       outcome.status = ScanStatus::kShed;
       outcome.error = "shed under overload (queue/memory watermark)";
-      state_->finish(std::move(outcome));
       service_->shed_.fetch_add(1);
-      service_->retire_scan(state_, this, launches);
+      service_->retire_scan(state_, this, std::move(outcome), launches);
     }
     for (const auto& exec : launches) exec->launch();
   }
@@ -266,14 +271,15 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
         outstanding_ -= dropped;  // the init item, dropped unrun
       }
       phase_ = Phase::kTerminal;
+      ScanOutcome outcome;
       if (timeout || state_->deadline_expired()) {
-        state_->finish(ScanOutcome{ScanStatus::kTimedOut, {}, {}});
+        outcome.status = ScanStatus::kTimedOut;
         service_->timed_out_.fetch_add(1);
       } else {
-        state_->finish(ScanOutcome{ScanStatus::kCancelled, {}, {}});
+        outcome.status = ScanStatus::kCancelled;
         service_->cancelled_.fetch_add(1);
       }
-      service_->retire_scan(state_, this, launches);
+      service_->retire_scan(state_, this, std::move(outcome), launches);
     }
     for (const auto& exec : launches) exec->launch();
   }
@@ -418,7 +424,8 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
     }
     // Same deferred discipline for a ref-named model: the resident instance
     // is resolved (loaded on a cold key, shared on a warm one) here, never
-    // at submit(), and the shared_ptr pins the store entry until finish().
+    // at submit(), and the shared_ptr pins the store entry until the scan
+    // retires.
     // Load failures are wrapped TRANSIENT — a flaky filesystem read or an
     // allocation failure under load is exactly what the retry layer exists
     // for; a truly corrupt checkpoint exhausts the budget and fails the scan
@@ -517,12 +524,11 @@ class ScanExecution : public std::enable_shared_from_this<ScanExecution> {
       }
       outcome.retries = retries_;
       // Release tasks, clones, and the borrowed probe-cache pointer BEFORE
-      // finish() drops the detector and the stored probe they point into.
+      // retire_scan drops the detector and the stored probe they point into.
       schedule_.reset();
       staged_.reset();
-      state_->finish(std::move(outcome));
       service_->scheduler_.retire_job(job_);
-      service_->retire_scan(state_, this, launches);
+      service_->retire_scan(state_, this, std::move(outcome), launches);
     }
     // Newly admitted scans launch outside mu_ (their launch() takes their
     // own lock and the scheduler's).
@@ -837,8 +843,10 @@ void DetectionService::drain() {
 }
 
 void DetectionService::retire_scan(const std::shared_ptr<detail::ScanState>& state,
-                                   const detail::ScanExecution* exec,
+                                   const detail::ScanExecution* exec, ScanOutcome outcome,
                                    std::vector<std::shared_ptr<detail::ScanExecution>>& launches) {
+  state->release_payload();
+  std::shared_ptr<detail::ScanExecution> released;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     live_.erase(std::find(live_.begin(), live_.end(), state));
@@ -859,6 +867,7 @@ void DetectionService::retire_scan(const std::shared_ptr<detail::ScanState>& sta
         ++admitted_;
       }
     }
+    released = state->publish(std::move(outcome));
     if (live_.empty()) idle_.notify_all();
   }
   queue_space_.notify_all();  // pending depth shrank (or shutdown progressed)

@@ -442,12 +442,14 @@ class DetectionService {
     return static_cast<std::int64_t>(queue_.size()) + reserved_slots_;
   }
 
-  /// Called by a ScanExecution reaching a terminal state: removes it from
-  /// live_, frees its admission slot, and COLLECTS (not launches — the
-  /// caller holds the execution's lock) queued executions that now fit
-  /// under max_concurrent_scans into `launches`.
+  /// Called by a ScanExecution reaching a terminal state: drops the scan's
+  /// payload, removes it from live_, frees its admission slot, COLLECTS
+  /// (not launches — the caller holds the execution's lock) queued
+  /// executions that now fit under max_concurrent_scans into `launches`,
+  /// and publishes `outcome` in the same critical section, so a waiter that
+  /// observes the terminal status also observes the freed slot.
   void retire_scan(const std::shared_ptr<detail::ScanState>& state,
-                   const detail::ScanExecution* exec,
+                   const detail::ScanExecution* exec, ScanOutcome outcome,
                    std::vector<std::shared_ptr<detail::ScanExecution>>& launches);
 
   /// Picks queued scans to shed until both watermarks (queue depth, memory

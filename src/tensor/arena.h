@@ -65,15 +65,6 @@ class TensorArena {
     return slot;
   }
 
-  /// Parks an already-built Tensor in the next slot (the slot adopts its
-  /// buffer). Fallback used by Module's default forward_into adapter.
-  Tensor& adopt(Tensor&& value) {
-    Tensor& slot = cursor_ < slots_.size() ? slots_[cursor_++] : emplace_slot();
-    slot = std::move(value);
-    track_slot(cursor_ - 1, slot.numel() * static_cast<std::int64_t>(sizeof(float)));
-    return slot;
-  }
-
   /// Rewinds to empty, keeping every slot's storage for recycling. Call at
   /// step boundaries; invalidates all outstanding references.
   void reset() noexcept { cursor_ = 0; }
@@ -110,13 +101,6 @@ class TensorArena {
     Tensor& slot = slots_.back();
     track_slot(cursor_ - 1, slot.numel() * static_cast<std::int64_t>(sizeof(float)));
     return slot;
-  }
-
-  Tensor& emplace_slot() {
-    slots_.emplace_back();
-    slot_bytes_.push_back(0);
-    ++cursor_;
-    return slots_.back();
   }
 
   /// High-water accounting against the process MemoryBudget: a slot's

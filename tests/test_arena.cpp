@@ -114,15 +114,6 @@ TEST(TensorArena, ScopeRewindsAndRecyclesNestedSlots) {
   }
 }
 
-TEST(TensorArena, AdoptParksAndRecyclesBuffers) {
-  TensorArena arena;
-  Tensor& parked = arena.adopt(random_tensor(Shape{3, 3}, 5));
-  EXPECT_EQ(parked.shape(), (Shape{3, 3}));
-  arena.reset();
-  Tensor& reused = arena.alloc(Shape{3, 3});
-  EXPECT_EQ(reused.raw(), parked.raw());
-}
-
 // The central bit-identity pin: for every architecture, in eval mode (the
 // detection configuration) AND training mode, the arena path reproduces the
 // allocating path bit for bit — outputs, input gradients, and parameter
@@ -191,6 +182,50 @@ TEST(ArenaPath, MixedForwardBackwardPairingsAgree) {
   const Tensor& dx2 = net.backward_into(dy, arena);
   EXPECT_TRUE(y_ref.equals(y2));
   EXPECT_TRUE(dx_ref.equals(dx2));
+}
+
+// The value adapters in the shape of the scan's shared Alg. 1 prefix: K+1
+// backward() calls after one forward() each match a fresh forward/backward
+// pair bit for bit, with and without parameter gradients. On the frozen
+// model the prefix uses, once warm every value call makes exactly one
+// Tensor allocation — the returned copy — because the frame's slots are
+// reused. (With parameter gradients the conv dW kernel adds its own
+// per-chunk partial sums.)
+TEST(ArenaPath, RepeatedValueBackwardsMatchFreshPairsAndAllocateOnlyTheResult) {
+  constexpr std::int64_t kClasses = 10;
+  for (const Architecture arch : {Architecture::kMiniResNet, Architecture::kMiniEffNet}) {
+    for (const bool param_grads : {false, true}) {
+      Network net = make_network(arch, 3, 32, kClasses, 36);
+      net.set_training(false);
+      net.set_param_grads_enabled(param_grads);
+      const Tensor x = random_tensor(Shape{2, 3, 32, 32}, 37);
+      std::vector<Tensor> selectors;
+      for (std::int64_t k = 0; k <= kClasses; ++k) {
+        selectors.push_back(random_tensor(Shape{2, kClasses}, 38 + k, -1.0F, 1.0F));
+      }
+
+      (void)net.forward(x);  // grows the frame
+      std::uint64_t before = tensor_heap_allocations();
+      const Tensor y = net.forward(x);
+      EXPECT_EQ(tensor_heap_allocations() - before, 1U) << to_string(arch);
+
+      std::vector<Tensor> repeated;
+      repeated.reserve(selectors.size());
+      for (std::size_t k = 0; k < selectors.size(); ++k) {
+        before = tensor_heap_allocations();
+        repeated.push_back(net.backward(selectors[k]));
+        if (!param_grads && k > 0) {
+          EXPECT_EQ(tensor_heap_allocations() - before, 1U)
+              << to_string(arch) << " param_grads=" << param_grads << " call " << k;
+        }
+      }
+      for (std::size_t k = 0; k < selectors.size(); ++k) {
+        EXPECT_TRUE(net.forward(x).equals(y));
+        EXPECT_TRUE(net.backward(selectors[k]).equals(repeated[k]))
+            << to_string(arch) << " param_grads=" << param_grads << " call " << k;
+      }
+    }
+  }
 }
 
 TEST(ArenaPath, DispatchVariantsBitIdenticalThroughNetwork) {

@@ -9,6 +9,13 @@
 // the end-to-end benchmark never runs: MiniVgg's MaxPool, MiniEffNet's
 // depthwise groups and SiLU, BasicCnn's K > 256 conv, and maps whose width
 // is not a multiple of 8.
+//
+// The trained-state digests pin the training side the same way: one short
+// epoch of train_network on every architecture and of each attack's
+// train_backdoored, hashed over the trained state (parameters and BN
+// buffers) together with the loops' returned loss, clean accuracy and
+// attack success rate. They run on a one-thread pool because trained
+// weights depend on the thread count.
 #include <gtest/gtest.h>
 
 #include <cinttypes>
@@ -17,11 +24,15 @@
 #include <string>
 #include <vector>
 
+#include "attacks/badnet.h"
+#include "attacks/iad.h"
+#include "attacks/latent.h"
 #include "core/usb.h"
 #include "data/synthetic.h"
 #include "defenses/neural_cleanse.h"
 #include "nn/models.h"
 #include "service/wire.h"
+#include "utils/thread_pool.h"
 
 namespace usb {
 namespace {
@@ -42,15 +53,19 @@ std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
   return h;
 }
 
+std::string hex_digest(std::uint64_t h) {
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016" PRIx64, h);
+  return hex;
+}
+
 std::string timeless_digest(const DetectionReport& report) {
   wire::WireScanResult result;
   result.status = ScanStatus::kDone;
   result.report = report;
   result.report.per_class_seconds.assign(result.report.per_class_seconds.size(), 0.0);
   result.report.wall_seconds = 0.0;
-  char hex[17];
-  std::snprintf(hex, sizeof(hex), "%016" PRIx64, fnv1a(wire::encode_result(result)));
-  return hex;
+  return hex_digest(fnv1a(wire::encode_result(result)));
 }
 
 DetectionReport run_scan(const GoldenCase& tc) {
@@ -98,6 +113,79 @@ INSTANTIATE_TEST_SUITE_P(
         GoldenCase{"MiniEffNet_USB", Architecture::kMiniEffNet, "USB", "7dfe76782606fff8"},
         GoldenCase{"MiniEffNet_NC", Architecture::kMiniEffNet, "NC", "0fcbe9a0bb8c261b"}),
     [](const ::testing::TestParamInfo<GoldenCase>& info) { return std::string(info.param.name); });
+
+struct TrainedCase {
+  const char* name;
+  Architecture arch;
+  const char* attack;  // "clean", "badnet", "iad" or "latent"
+  const char* digest;  // 16 lowercase hex digits
+};
+
+void append_bytes(std::vector<std::uint8_t>& bytes, const void* data, std::size_t count) {
+  const auto* begin = static_cast<const std::uint8_t*>(data);
+  bytes.insert(bytes.end(), begin, begin + count);
+}
+
+std::string trained_state_digest(const TrainedCase& tc) {
+  ThreadPool one_thread(1);
+  const ThreadPool::WorkerContext context(one_thread);
+
+  DatasetSpec spec;
+  spec.name = "golden-train";
+  spec.channels = 3;
+  spec.image_size = 24;
+  spec.num_classes = 4;
+  const Dataset train_set = generate_dataset(spec, 48, /*seed=*/931);
+  const Dataset test_set = generate_dataset(spec, 24, /*seed=*/937);
+  Network model = make_network(tc.arch, spec.channels, spec.image_size, spec.num_classes,
+                               /*seed=*/941);
+  TrainConfig config;
+  config.epochs = 1;
+  config.batch_size = 16;
+  config.seed = 947;
+
+  std::unique_ptr<BackdoorAttack> attack;
+  const std::string kind = tc.attack;
+  if (kind == "badnet") attack = std::make_unique<BadNet>(BadNetConfig{}, spec);
+  if (kind == "iad") attack = std::make_unique<Iad>(IadConfig{}, spec);
+  if (kind == "latent") attack = std::make_unique<LatentBackdoor>(LatentBackdoorConfig{}, spec);
+  const TrainResult result = attack ? attack->train_backdoored(model, train_set, config)
+                                    : train_network(model, train_set, config);
+  const float accuracy = evaluate_accuracy(model, test_set, /*batch_size=*/16);
+  const float success = attack ? attack->success_rate(model, test_set) : 0.0F;
+
+  std::vector<std::uint8_t> bytes;
+  for (const ConstStateTensor& entry : model.state_view()) {
+    append_bytes(bytes, entry.tensor->raw(),
+                 static_cast<std::size_t>(entry.tensor->numel()) * sizeof(float));
+  }
+  append_bytes(bytes, &result.final_train_loss, sizeof(float));
+  append_bytes(bytes, &result.steps, sizeof(result.steps));
+  append_bytes(bytes, &accuracy, sizeof(float));
+  append_bytes(bytes, &success, sizeof(float));
+  return hex_digest(fnv1a(bytes));
+}
+
+class GoldenTrainedStateTest : public ::testing::TestWithParam<TrainedCase> {};
+
+TEST_P(GoldenTrainedStateTest, TrainedStateMatchesCommittedDigest) {
+  const TrainedCase tc = GetParam();
+  EXPECT_EQ(trained_state_digest(tc), tc.digest) << tc.name << " trained state changed";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TrainingLoops, GoldenTrainedStateTest,
+    ::testing::Values(
+        TrainedCase{"BasicCnn_clean", Architecture::kBasicCnn, "clean", "cadcafc442b5376e"},
+        TrainedCase{"MiniResNet_clean", Architecture::kMiniResNet, "clean", "cf29100ed4ec583c"},
+        TrainedCase{"MiniVgg_clean", Architecture::kMiniVgg, "clean", "f2df7521990332af"},
+        TrainedCase{"MiniEffNet_clean", Architecture::kMiniEffNet, "clean", "d6735e37ecae8f18"},
+        TrainedCase{"MiniResNet_badnet", Architecture::kMiniResNet, "badnet", "c9b31c6e3bc47c72"},
+        TrainedCase{"BasicCnn_iad", Architecture::kBasicCnn, "iad", "de757b400716a3aa"},
+        TrainedCase{"BasicCnn_latent", Architecture::kBasicCnn, "latent", "9d8bbd9fe9ef5700"}),
+    [](const ::testing::TestParamInfo<TrainedCase>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace usb

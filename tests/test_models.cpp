@@ -61,8 +61,9 @@ TEST_P(ArchParamTest, FeatureHeadSplitMatchesFullForward) {
   Tensor x(Shape{2, tc.channels, tc.size, tc.size});
   fill_uniform(x, rng, 0.0F, 1.0F);
   const Tensor full = net.forward(x);
-  const Tensor features = net.forward_features(x);
-  const Tensor split = net.forward_head(features);
+  TensorArena arena;
+  const Tensor& features = net.forward_features(x, arena);
+  const Tensor& split = net.forward_head(features, arena);
   ASSERT_EQ(split.shape(), full.shape());
   for (std::int64_t i = 0; i < full.numel(); ++i) EXPECT_NEAR(split[i], full[i], 1e-5F);
 }
@@ -125,7 +126,9 @@ TEST(Network, BasicCnnMatchesPaperGeometry) {
   // 28x28 MNIST inputs -> flattened feature size is exactly 512.
   Network net = make_network(Architecture::kBasicCnn, 1, 28, 10, 11);
   net.set_training(false);
-  const Tensor features = net.forward_features(Tensor(Shape{1, 1, 28, 28}));
+  const Tensor x(Shape{1, 1, 28, 28});
+  TensorArena arena;
+  const Tensor& features = net.forward_features(x, arena);
   EXPECT_EQ(features.numel(), 512);
 }
 

@@ -384,8 +384,9 @@ TEST(SequentialContainer, RangedForwardBackwardMatchesFull) {
   Tensor x(Shape{3, 4});
   fill_uniform(x, rng);
   const Tensor full = seq.forward(x);
-  const Tensor features = seq.forward_range(x, 0, 2);
-  const Tensor head = seq.forward_range(features, 2, 3);
+  TensorArena arena;
+  const Tensor& features = seq.forward_range(x, 0, 2, arena);
+  const Tensor& head = seq.forward_range(features, 2, 3, arena);
   EXPECT_TRUE(head.equals(full));
 
   Tensor dy(full.shape());
@@ -393,8 +394,8 @@ TEST(SequentialContainer, RangedForwardBackwardMatchesFull) {
   seq.zero_grad();
   const Tensor dx_full = seq.backward(dy);
   seq.zero_grad();
-  const Tensor dfeat = seq.backward_range(dy, 2, 3);
-  const Tensor dx_split = seq.backward_range(dfeat, 0, 2);
+  const Tensor& dfeat = seq.backward_range(dy, 2, 3, arena);
+  const Tensor& dx_split = seq.backward_range(dfeat, 0, 2, arena);
   for (std::int64_t i = 0; i < dx_full.numel(); ++i) {
     EXPECT_NEAR(dx_full[i], dx_split[i], 1e-6F);
   }
@@ -402,7 +403,8 @@ TEST(SequentialContainer, RangedForwardBackwardMatchesFull) {
 
 TEST(SequentialContainer, RangeValidation) {
   Sequential seq;
-  EXPECT_THROW((void)seq.forward_range(Tensor(Shape{1}), 0, 1), std::out_of_range);
+  TensorArena arena;
+  EXPECT_THROW((void)seq.forward_range(Tensor(Shape{1}), 0, 1, arena), std::out_of_range);
 }
 
 }  // namespace
